@@ -267,6 +267,7 @@ inline std::vector<trace::ScalingPoint> sweepScaling(
     cfg.cache_rows = cache_rows;
     cfg.layer.zipf_alpha = zipf_alpha;
     if (tweak) tweak(cfg);
+    validateOrExit(cfg);
     engine::ScenarioRunner runner(cfg);
     trace::ScalingPoint point;
     point.gpus = gpus;

@@ -135,17 +135,15 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   }
   const emb::CacheFilter* f = filter ? &*filter : nullptr;
 
-  // Phase 1: (probe +) lookup kernels into send buffers, plus the
-  // replica serve kernel — all on the default stream (compute).
+  // Phase 1: lookup kernels (probing the replica in-kernel when cached)
+  // into send buffers, plus the replica serve kernel — all on the
+  // default stream (compute).
   send_matrix_.resize(static_cast<std::size_t>(p));
   for (auto& row : send_matrix_) {
     row.assign(static_cast<std::size_t>(p), 0);
   }
   auto& matrix = send_matrix_;
   for (int g = 0; g < p; ++g) {
-    if (f != nullptr) {
-      system.launchKernel(g, emb::buildCacheProbeKernel(layer_, *f, g));
-    }
     auto kernel = emb::buildBaselineLookupKernel(
         layer_, batch, g, &send_buffers_[static_cast<std::size_t>(g)], f);
     for (int d = 0; d < p; ++d) {

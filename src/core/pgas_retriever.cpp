@@ -90,13 +90,10 @@ BatchTiming PgasFusedRetriever::runBatch(const emb::SparseBatch& batch) {
 
   // One fused lookup kernel per device (paper Listing 2's launch loop);
   // in-kernel one-sided writes are attached via the PGAS runtime.  With
-  // a cache, a probe kernel partitions the indices first and the fused
-  // kernel computes/puts misses only.  The builder declares the local
+  // a cache the kernel classifies its indices against the replica first
+  // and computes/puts misses only.  The builder declares the local
   // write effect and the remote put footprints from the output views.
   for (int g = 0; g < p; ++g) {
-    if (f != nullptr) {
-      system.launchKernel(g, emb::buildCacheProbeKernel(layer_, *f, g));
-    }
     auto fused = emb::buildFusedLookupKernel(
         layer_, batch, g, &outputs_view_, options_.slices, f,
         row_wise ? nullptr : options_.codec, options_.gpus_per_node);
@@ -107,10 +104,11 @@ BatchTiming PgasFusedRetriever::runBatch(const emb::SparseBatch& batch) {
   }
 
   if (f != nullptr) {
-    // Quiet + barrier: every one-sided write (including into our own
-    // output) is delivered and joined before the serve kernels overlay
-    // the hit bags — the HB edge simsan certifies the overlap against.
-    system.syncAll();
+    // Quiet orders only a PE's own puts; the on-stream barrier orders
+    // every serve kernel after every peer's miss puts into its output
+    // before it overlays the hit bags (the HB edge simsan certifies the
+    // overlay against). The host launches the serves without waiting.
+    runtime_.barrierAllOnStream();
     for (int g = 0; g < p; ++g) {
       auto serve = emb::buildCacheServeKernel(
           layer_, batch, *f, g, &options_.cache->replica(g),

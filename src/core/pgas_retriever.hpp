@@ -25,9 +25,11 @@ struct PgasRetrieverOptions {
   pgas::CommCounter* counter = nullptr;
   /// Optional async aggregator (paper §V future work / multi-node).
   const pgas::AggregatorParams* aggregator = nullptr;
-  /// Optional hot-row replica cache: the fused kernel computes and puts
-  /// misses only (fewer messages AND fewer headers, shorter quiet);
-  /// serve kernels pool the hit bags locally after the exchange.
+  /// Optional hot-row replica cache: the fused kernel probes its indices
+  /// against the replica in-kernel, then computes and puts misses only
+  /// (fewer messages AND fewer headers, shorter quiet); after an
+  /// on-stream all-PE barrier, serve kernels pool the hit bags locally.
+  /// Still one launch loop and one host sync per batch.
   emb::ReplicaCache* cache = nullptr;
   /// Optional inter-node codec: Functional mode really encodes/decodes
   /// values put across nodes, so the landed outputs carry the measured

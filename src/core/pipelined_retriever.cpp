@@ -128,9 +128,6 @@ BatchTiming PipelinedCollectiveRetriever::runBatch(
     if (slot_free[g] != nullptr) {
       stream.enqueueWaitEvent(system.hostNow(), *slot_free[g]);
     }
-    if (f != nullptr) {
-      system.launchKernel(g, emb::buildCacheProbeKernel(layer_, *f, g));
-    }
     system.launchKernel(g, std::move(kernel.desc));
     stream.enqueueRecord(system.hostNow(), kernel_done(g));
     // The collective (enqueued below on the comm stream) starts once

@@ -6,7 +6,8 @@
 namespace pgasemb::emb {
 
 SimTime lookupComputeTime(const ShardedEmbeddingLayer& layer,
-                          const GpuLookupWork& work) {
+                          const GpuLookupWork& work,
+                          double probed_indices) {
   const auto& cm =
       const_cast<ShardedEmbeddingLayer&>(layer).system().costModel();
   const double dim = static_cast<double>(layer.dim());
@@ -16,7 +17,8 @@ SimTime lookupComputeTime(const ShardedEmbeddingLayer& layer,
                        work.gathered_rows * dim * 4.0 +
                        outputs * dim * 4.0;
   const double flops = work.gathered_rows * dim;
-  return cm.gatherKernelTime(flops, bytes, work.gathered_rows);
+  return cm.gatherKernelTime(flops, bytes, work.gathered_rows,
+                             cm.cacheProbeBody(probed_indices));
 }
 
 std::int64_t sendBufferElements(const Sharding& sharding, int gpu,
@@ -50,7 +52,8 @@ BaselineLookupKernel buildBaselineLookupKernel(
 
   BaselineLookupKernel out;
   out.desc.name = "emb_lookup_baseline.gpu" + std::to_string(gpu);
-  out.desc.duration = lookupComputeTime(layer, work);
+  out.desc.duration = lookupComputeTime(
+      layer, work, filter ? filter->probedIndices(gpu) : 0.0);
   out.send_bytes.resize(static_cast<std::size_t>(p));
   for (int d = 0; d < p; ++d) {
     out.send_bytes[static_cast<std::size_t>(d)] =
@@ -114,7 +117,8 @@ FusedLookupKernel buildFusedLookupKernel(
 
   FusedLookupKernel out;
   out.desc.name = "emb_lookup_pgas_fused.gpu" + std::to_string(gpu);
-  out.desc.duration = lookupComputeTime(layer, work);
+  out.desc.duration = lookupComputeTime(
+      layer, work, filter ? filter->probedIndices(gpu) : 0.0);
 
   std::vector<std::int64_t> payload(static_cast<std::size_t>(p), 0);
   for (int d = 0; d < p; ++d) {

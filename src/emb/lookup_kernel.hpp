@@ -38,9 +38,10 @@ struct BaselineLookupKernel {
 /// pass it in every mode — the builder declares the kernel's simsan
 /// write effect from it when a checker is attached and runs the
 /// functional body only when the buffer is backed and the batch is
-/// materialized.  With a cache `filter` only the miss bags are computed
-/// and shipped (served bags never enter the send buffer); the filter
-/// must outlive the kernel's execution.
+/// materialized.  With a cache `filter` the kernel probes its indices
+/// against the replica first, then computes and ships only the miss
+/// bags (served bags never enter the send buffer); the filter must
+/// outlive the kernel's execution.
 BaselineLookupKernel buildBaselineLookupKernel(
     ShardedEmbeddingLayer& layer, const SparseBatch& batch, int gpu,
     gpu::DeviceBuffer* send_buffer, const CacheFilter* filter = nullptr);
@@ -62,9 +63,10 @@ struct FusedLookupKernel {
 /// attached, and runs the functional body (direct remote stores;
 /// row-wise sharding accumulates partial sums instead) only when the
 /// local view is backed and the batch is materialized.  With a cache
-/// `filter` only the miss bags are computed and put — fewer one-sided
-/// messages AND fewer per-message headers, so a shorter quiet; the
-/// filter must outlive the kernel's execution.
+/// `filter` the kernel classifies its indices against the replica
+/// in-kernel, then computes and puts only the miss bags — fewer
+/// one-sided messages AND fewer per-message headers, so a shorter
+/// quiet; the filter must outlive the kernel's execution.
 /// With a `codec` (and `gpus_per_node` > 0) the functional body really
 /// encodes/decodes values whose destination lies on another node, so the
 /// landed outputs carry the measured compression error (table-wise only;
@@ -76,8 +78,12 @@ FusedLookupKernel buildFusedLookupKernel(
     fabric::InterNodeCodec* codec = nullptr, int gpus_per_node = 0);
 
 /// Compute cost shared by both kernels (gather + pool + output writes).
+/// With a cache the kernel first classifies `probed_indices` raw indices
+/// against the replica in-kernel (CacheFilter::probedIndices); the
+/// probe's streaming body adds to the gather body under one launch.
 SimTime lookupComputeTime(const ShardedEmbeddingLayer& layer,
-                          const GpuLookupWork& work);
+                          const GpuLookupWork& work,
+                          double probed_indices = 0.0);
 
 /// Offset (elements) of (local table, destination, dst-local sample)
 /// within a baseline send buffer.

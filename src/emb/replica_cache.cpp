@@ -199,16 +199,6 @@ bool CacheFilter::bagServed(std::int64_t table, std::int64_t sample) const {
   return served[static_cast<std::size_t>(sample)] != 0;
 }
 
-gpu::KernelDesc buildCacheProbeKernel(const ShardedEmbeddingLayer& layer,
-                                      const CacheFilter& filter, int gpu) {
-  const auto& cm =
-      const_cast<ShardedEmbeddingLayer&>(layer).system().costModel();
-  gpu::KernelDesc desc;
-  desc.name = "emb_cache_probe.gpu" + std::to_string(gpu);
-  desc.duration = cm.cacheProbeTime(filter.probedIndices(gpu));
-  return desc;
-}
-
 gpu::KernelDesc buildCacheServeKernel(ShardedEmbeddingLayer& layer,
                                       const SparseBatch& batch,
                                       const CacheFilter& filter, int gpu,

@@ -13,8 +13,8 @@
 //
 // CacheFilter is the per-batch partition of the lookup workload this
 // induces: the owner-side miss lookup, the destination-side replica
-// serve, the probe volume, and the hit/saved-bytes accounting — exact
-// for materialized batches, expectations for statistical ones.
+// serve, the in-kernel probe volume, and the hit/saved-bytes accounting
+// — exact for materialized batches, expectations for statistical ones.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +78,10 @@ class CacheFilter {
   /// mini-batch across ALL tables); outputs_to is nonzero only at self.
   const GpuLookupWork& serveWork(int gpu) const;
 
-  /// Raw indices GPU `gpu`'s probe/partition kernel classifies: its own
-  /// tables' full batch plus all tables' own mini-batch.
+  /// Raw indices GPU `gpu`'s lookup kernel classifies against the
+  /// replica before its gather: its own tables' full batch (the miss
+  /// lists it computes) plus all tables' own mini-batch (the hit lists
+  /// its serve kernel pools).
   double probedIndices(int gpu) const;
 
   /// Was bag (table, sample) served from the replica? Materialized only.
@@ -103,13 +105,6 @@ class CacheFilter {
   double hits_ = 0.0;
   double saved_wire_bytes_ = 0.0;
 };
-
-/// Build GPU `gpu`'s probe/partition kernel: a streaming classification
-/// pass over the raw indices that compacts miss lists for the lookup
-/// and hit lists for the serve kernel. Metadata only — no tensor
-/// traffic, so no functional body.
-gpu::KernelDesc buildCacheProbeKernel(const ShardedEmbeddingLayer& layer,
-                                      const CacheFilter& filter, int gpu);
 
 /// Build GPU `gpu`'s replica-serve kernel: pools every served bag of
 /// its own mini-batch from the local `replica` block straight into

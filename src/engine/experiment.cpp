@@ -1,5 +1,9 @@
 #include "engine/experiment.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+
 #include "util/expect.hpp"
 
 namespace pgasemb::engine {
@@ -28,6 +32,26 @@ void ExperimentConfig::validate() const {
                 "error bounds do not compose with row-wise partial sums)");
   PGASEMB_CHECK(!hier_bug_scatter || hierarchical_a2a,
                 "hier-bug-scatter needs hierarchical-a2a");
+  if (cache_rows > 0) {
+    // Every GPU holds a replica of the hot rows of every table (clamped
+    // to the raw-index domain, as ReplicaCache does) beside its own
+    // table shard. Saturating: an absurd request must not wrap around.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const auto rows = static_cast<std::int64_t>(
+        std::min(static_cast<std::uint64_t>(cache_rows), layer.index_space));
+    const std::int64_t row_bytes = layer.total_tables * layer.dim * 4;
+    const std::int64_t replica_bytes =
+        row_bytes > 0 && rows > kMax / row_bytes ? kMax : rows * row_bytes;
+    const std::int64_t table_bytes = layer.tableBytesPerGpu(num_gpus);
+    const std::int64_t required = replica_bytes > kMax - table_bytes
+                                      ? kMax
+                                      : replica_bytes + table_bytes;
+    PGASEMB_CHECK(required <= device_memory_bytes, "cache-rows ",
+                  cache_rows, " does not fit: the per-GPU replica (",
+                  replica_bytes, " B) beside the tables (", table_bytes,
+                  " B) needs ", required, " B of device memory, ",
+                  device_memory_bytes, " B available");
+  }
   for (const auto& spec : faults.specs) {
     if (!fault::nodeScoped(spec.kind)) continue;
     PGASEMB_CHECK(num_nodes > 1, "node-scoped fault '", spec.describe(),

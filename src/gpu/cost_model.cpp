@@ -5,7 +5,8 @@
 namespace pgasemb::gpu {
 
 SimTime CostModel::gatherKernelTime(double flops, double bytes,
-                                    double gathered_rows) const {
+                                    double gathered_rows,
+                                    SimTime prologue) const {
   const double compute_s = flops / peak_flops;
   const double full_bw_s = bytes / (hbm_bandwidth * gather_efficiency);
   // Latency-limited regime: too few independent row gathers in flight to
@@ -21,7 +22,8 @@ SimTime CostModel::gatherKernelTime(double flops, double bytes,
         full_bw_s + gathered_rows * gather_row_issue_latency.toSec();
     memory_s = std::min(degraded_s, issue_bound_s);
   }
-  const SimTime body = SimTime::sec(std::max(compute_s, memory_s));
+  const SimTime body =
+      SimTime::sec(std::max(compute_s, memory_s)) + prologue;
   return std::max(body, kernel_latency_floor);
 }
 
@@ -35,8 +37,9 @@ SimTime CostModel::unpackKernelTime(double bytes) const {
   return std::max(SimTime::sec(memory_s), kernel_latency_floor);
 }
 
-SimTime CostModel::cacheProbeTime(double indices) const {
-  return streamKernelTime(indices * cache_probe_bytes_per_index);
+SimTime CostModel::cacheProbeBody(double indices) const {
+  return SimTime::sec(indices * cache_probe_bytes_per_index /
+                      (hbm_bandwidth * stream_efficiency));
 }
 
 CostModel::Throughput CostModel::kernelThroughput(double flops, double bytes,

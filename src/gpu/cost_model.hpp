@@ -70,7 +70,7 @@ struct CostModel {
   SimTime collective_chunk_overhead = SimTime::us(1.5);
 
   /// Bytes moved per raw index by the replica-cache probe/partition
-  /// kernel: one 8-byte index read plus the amortized compacted
+  /// pass: one 8-byte index read plus the amortized compacted
   /// miss-list write (~4 B).  The probe is a streaming classification
   /// pass, far cheaper than the 260+ B/row gather it shrinks.
   double cache_probe_bytes_per_index = 12.0;
@@ -80,8 +80,11 @@ struct CostModel {
   /// traffic over `gathered_rows` independent row reads, executing
   /// `flops` fp32 operations.  Below gather_saturation_rows the
   /// achieved bandwidth degrades linearly (latency-limited gathers).
-  SimTime gatherKernelTime(double flops, double bytes,
-                           double gathered_rows) const;
+  /// `prologue` is in-kernel work that runs before the gather in the
+  /// same launch (the replica-cache probe): it adds to the body, and
+  /// one latency floor covers both.
+  SimTime gatherKernelTime(double flops, double bytes, double gathered_rows,
+                           SimTime prologue = SimTime::zero()) const;
 
   /// Time for a streaming (memset/contiguous copy) kernel moving `bytes`.
   SimTime streamKernelTime(double bytes) const;
@@ -89,9 +92,10 @@ struct CostModel {
   /// Time for the baseline's strided unpack/rearrangement over `bytes`.
   SimTime unpackKernelTime(double bytes) const;
 
-  /// Time for the replica-cache probe/partition kernel classifying
-  /// `indices` raw indices into replica hits and exchange misses.
-  SimTime cacheProbeTime(double indices) const;
+  /// Streaming body (no latency floor) of the replica-cache probe that
+  /// classifies `indices` raw indices into replica hits and exchange
+  /// misses. It runs as the lookup kernel's prologue.
+  SimTime cacheProbeBody(double indices) const;
 
   /// Compute and memory "throughput" fractions the simulator reports for
   /// a kernel, mirroring what ncu would show (paper §IV-B2a).

@@ -10,7 +10,10 @@
 namespace pgasemb::pgas {
 
 PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
-    : system_(system), fabric_(fabric), heap_(system) {
+    : system_(system),
+      fabric_(fabric),
+      heap_(system),
+      barrier_events_(static_cast<std::size_t>(system.numGpus())) {
   PGASEMB_CHECK(fabric.numGpus() >= system.numGpus(),
                 "fabric topology smaller than the GPU system");
 }
@@ -262,6 +265,29 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
     }
     return std::max(compute_end, quiet->last_delivery);
   };
+}
+
+void PgasRuntime::barrierAllOnStream() {
+  for (const auto& event : barrier_events_) {
+    PGASEMB_CHECK(!barrier_armed_ || event.recorded(),
+                  "barrierAllOnStream() while the previous barrier is "
+                  "still in flight; sync the host first");
+  }
+  for (auto& event : barrier_events_) event.reset();
+  barrier_armed_ = true;
+  const SimTime now = system_.hostNow();
+  const int p = system_.numGpus();
+  for (int g = 0; g < p; ++g) {
+    system_.stream(g).enqueueRecord(
+        now, barrier_events_[static_cast<std::size_t>(g)]);
+  }
+  for (int g = 0; g < p; ++g) {
+    for (int peer = 0; peer < p; ++peer) {
+      if (peer == g) continue;  // stream order already covers itself
+      system_.stream(g).enqueueWaitEvent(
+          now, barrier_events_[static_cast<std::size_t>(peer)]);
+    }
+  }
 }
 
 SimTime PgasRuntime::put(int src, int dst, std::int64_t payload_bytes,

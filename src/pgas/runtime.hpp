@@ -14,6 +14,7 @@
 
 #include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
+#include "gpu/gpu_event.hpp"
 #include "gpu/kernel.hpp"
 #include "gpu/system.hpp"
 #include "pgas/aggregator.hpp"
@@ -100,6 +101,17 @@ class PgasRuntime {
                          const AggregatorParams* aggregator = nullptr,
                          std::vector<simsan::MemEffect> remote_writes = {});
 
+  /// Stream-ordered all-PE barrier (nvshmemx_barrier_all_on_stream).
+  /// Every PE's default stream records an event at its current tail and
+  /// then waits on every peer's event, so anything enqueued afterwards on
+  /// a default stream runs after everything enqueued before the call on
+  /// every PE. A kernel with an attached message plan completes at its
+  /// quiet, so work behind the barrier is ordered after every peer's
+  /// one-sided puts — quiet alone orders only a PE's own puts. The host
+  /// does not block, and the records and waits charge no host time.
+  /// The previous barrier must have completed (the host synced since).
+  void barrierAllOnStream();
+
   /// Host-initiated blocking one-sided put (control-plane uses; the data
   /// plane goes through kernels). Returns the delivery time.
   SimTime put(int src, int dst, std::int64_t payload_bytes,
@@ -115,6 +127,10 @@ class PgasRuntime {
   gpu::MultiGpuSystem& system_;
   fabric::Fabric& fabric_;
   SymmetricHeap heap_;
+  /// One event per PE, reused by every barrierAllOnStream() call (the
+  /// streams hold references, so the vector is never resized).
+  std::vector<gpu::GpuEvent> barrier_events_;
+  bool barrier_armed_ = false;
   fault::FaultInjector* injector_ = nullptr;
   fabric::InterNodeCodec* codec_ = nullptr;
   bool hierarchical_ = false;

@@ -16,6 +16,7 @@
 //    paper-extension speedups, and cache_rows = 0 leaves stats empty.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -173,6 +174,38 @@ TEST(ReplicaCacheTest, CapacityClampsToIndexSpace) {
   EXPECT_EQ(cache.capacityRows(),
             static_cast<std::int64_t>(spec.index_space));
   EXPECT_DOUBLE_EQ(cache.indexHitRate(), 1.0);
+}
+
+TEST(ReplicaCacheTest, OversizedReplicaFailsValidation) {
+  // A replica that cannot fit beside the tables is an operator error:
+  // validate() rejects it up front, naming the bytes required and
+  // available, instead of the builder aborting on a device OOM.
+  // bench_serving's layer: 1M rows per table, a 2^40 raw-index domain.
+  engine::ExperimentConfig cfg;
+  cfg.num_gpus = 4;
+  cfg.layer = emb::servingLayerSpec(4, 256);
+  cfg.layer.zipf_alpha = 1.0;
+  cfg.cache_rows = 100000000;
+  const std::int64_t rows = std::min<std::int64_t>(
+      cfg.cache_rows, static_cast<std::int64_t>(cfg.layer.index_space));
+  const std::int64_t required =
+      cfg.layer.tableBytesPerGpu(cfg.num_gpus) +
+      rows * cfg.layer.total_tables * cfg.layer.dim * 4;
+  ASSERT_GT(required, cfg.device_memory_bytes);
+  try {
+    cfg.validate();
+    FAIL() << "oversized replica passed validation";
+  } catch (const InvalidArgumentError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(required) + " B"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(cfg.device_memory_bytes) +
+                        " B available"),
+              std::string::npos)
+        << what;
+  }
+  cfg.cache_rows = 10000;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(ReplicaCacheTest, RowWiseShardingIsRejected) {
@@ -335,6 +368,58 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param)) + "gpus";
     });
+
+// --- Launch shape: one launch loop, one host sync ---------------------------
+
+TEST(CacheLaunchShapeTest, CachedPgasRunsOneFusedAndOneServeKernelPerGpu) {
+  // The replica probe runs inside the fused lookup kernel, and the serve
+  // stage waits on an on-stream all-PE barrier instead of a host sync.
+  // Per GPU a cached batch therefore runs exactly one fused kernel, then
+  // one serve kernel — no probe kernel — and the host syncs only once.
+  constexpr int kGpus = 4;
+  const auto cfg = functionalCachedConfig(kGpus);
+  engine::SystemBuilder builder(cfg);
+  auto& system = builder.system();
+  std::vector<std::vector<std::string>> kernels(kGpus);
+  std::vector<SimTime> serve_start(kGpus);
+  SimTime last_quiet = SimTime::zero();
+  SimTime last_serve_done = SimTime::zero();
+  system.setKernelObserver([&](int device, const std::string& name,
+                               SimTime start, SimTime, SimTime completion) {
+    kernels[static_cast<std::size_t>(device)].push_back(name);
+    if (name.rfind("emb_lookup_pgas_fused", 0) == 0) {
+      last_quiet = std::max(last_quiet, completion);
+    } else if (name.rfind("emb_cache_serve", 0) == 0) {
+      serve_start[static_cast<std::size_t>(device)] = start;
+      last_serve_done = std::max(last_serve_done, completion);
+    }
+  });
+  auto retriever = core::RetrieverRegistry::instance().create(
+      "pgas_fused", builder.context());
+  Rng rng(0xfeed);
+  const auto batch =
+      emb::SparseBatch::generateUniform(cfg.layer.batchSpec(), rng);
+  const SimTime t0 = system.hostNow();
+  const auto timing = retriever->runBatch(batch);
+
+  const auto& cm = system.costModel();
+  for (int g = 0; g < kGpus; ++g) {
+    const std::string id = ".gpu" + std::to_string(g);
+    EXPECT_EQ(kernels[static_cast<std::size_t>(g)],
+              (std::vector<std::string>{"emb_lookup_pgas_fused" + id,
+                                        "emb_cache_serve" + id}));
+    // Launched back to back after the fused loop (no host sync between
+    // the stages), each serve starts at its launch or at the barrier —
+    // the last PE's quiet — whichever comes later.
+    EXPECT_EQ(serve_start[static_cast<std::size_t>(g)],
+              std::max(t0 + cm.kernel_launch_overhead * (kGpus + g + 1),
+                       last_quiet))
+        << "gpu " << g;
+  }
+  // One cudaStreamSynchronize loop, at the end of the batch.
+  EXPECT_EQ(timing.total, last_serve_done - t0 +
+                              cm.stream_sync_overhead * kGpus);
+}
 
 // --- Timing: acceptance speedups and cache-off neutrality ------------------
 

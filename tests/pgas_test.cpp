@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "fabric/fabric.hpp"
 #include "gpu/system.hpp"
@@ -182,6 +184,56 @@ TEST(PgasRuntimeTest, BadSourcePeThrows) {
       rig.runtime.attachMessagePlan(desc, 7, makeUniformPlan({0, 1}, 0, 1,
                                                              256)),
       InvalidArgumentError);
+}
+
+// --- Stream-ordered barrier -------------------------------------------------
+
+TEST(PgasBarrierTest, OrdersEveryStreamAfterEveryPeersQuiet) {
+  // PE 1's kernel is tiny but its puts are huge, so its quiet is the
+  // last event before the barrier; work behind the barrier on every PE
+  // starts only after it — quiet alone would order PE 1's stream only.
+  Rig rig(3);
+  gpu::KernelDesc comm;
+  comm.name = "comm_bound";
+  comm.duration = SimTime::us(10);
+  rig.runtime.attachMessagePlan(comm, 1,
+                                makeUniformPlan({64 << 20, 0, 0}, 1, 4, 256));
+  rig.system.launchKernel(1, comm);
+  std::vector<SimTime> starts(3);
+  rig.system.setKernelObserver([&](int device, const std::string& name,
+                                   SimTime start, SimTime, SimTime) {
+    if (name == "after") starts[static_cast<std::size_t>(device)] = start;
+  });
+  const SimTime host_before = rig.system.hostNow();
+  rig.runtime.barrierAllOnStream();
+  EXPECT_EQ(rig.system.hostNow(), host_before);  // no host time charged
+  for (int g = 0; g < 3; ++g) {
+    gpu::KernelDesc after;
+    after.name = "after";
+    after.duration = SimTime::us(1);
+    rig.system.launchKernel(g, after);
+  }
+  rig.system.syncAll();
+  const SimTime quiet = SimTime::ms(1);  // 64 MiB >> 10 us of compute
+  ASSERT_GT(rig.system.stream(1).lastCompletion(), quiet);
+  for (int g = 0; g < 3; ++g) {
+    EXPECT_GT(starts[static_cast<std::size_t>(g)], quiet) << "gpu " << g;
+  }
+}
+
+TEST(PgasBarrierTest, ReusableAfterSyncButNotWhileInFlight) {
+  Rig rig(2);
+  gpu::KernelDesc slow;
+  slow.name = "slow";
+  slow.duration = SimTime::ms(1);
+  rig.system.launchKernel(0, slow);
+  rig.runtime.barrierAllOnStream();
+  // PE 0's record still waits behind its kernel: a second barrier now
+  // would re-arm events the first one has not released.
+  EXPECT_THROW(rig.runtime.barrierAllOnStream(), InvalidArgumentError);
+  rig.system.syncAll();
+  rig.runtime.barrierAllOnStream();
+  rig.system.syncAll();
 }
 
 // --- Aggregator ----------------------------------------------------------------

@@ -329,11 +329,12 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "gpus";
     });
 
-// With the hot-row replica cache attached, every retriever grows a
-// probe + serve stage whose whole-output overlay write must be ordered
-// against the exchange's writes into the same tensor (program order on
-// the stream for the collectives; an explicit barrier for PGAS). The
-// checker certifies those edges too.
+// With the hot-row replica cache attached, every lookup kernel probes
+// the replica in-kernel and every retriever grows a serve stage whose
+// whole-output overlay write must be ordered against the exchange's
+// writes into the same tensor (program order on the stream for the
+// collectives; for PGAS, the on-stream all-PE barrier behind every
+// PE's quiet). The checker certifies those edges too.
 engine::ExperimentConfig tinyCachedSimsanConfig(int gpus) {
   auto cfg = tinySimsanConfig(gpus);
   cfg.cache_rows = 12;
@@ -638,20 +639,28 @@ TEST(SeededBugTest, FusedKernelWithoutQuietIsFlagged) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded bug 3: cached PGAS without the pre-serve barrier
+// Seeded bug 3: cached PGAS with a missing or partial pre-serve barrier
 // ---------------------------------------------------------------------------
 
-/// Cached PGAS retriever with the post-exchange syncAll removed: the
+/// Cached PGAS retriever whose pre-serve barrier is broken: the
 /// replica-serve kernels overlay the hit bags onto the output tensor
-/// while remote fused kernels may still be putting miss bags into it.
-/// The quiet itself is intact — the missing edge is the global barrier
-/// between the exchange and the serve stage.
-class BrokenCachedNoBarrier final : public core::EmbeddingRetriever {
+/// while a remote fused kernel may still be putting miss bags into it.
+/// The quiet itself is intact — the missing edge is the all-PE barrier
+/// between the exchange and the serve stage. With `skip_peer` < 0 there
+/// is no barrier at all; otherwise the on-stream barrier is built from
+/// events as PgasRuntime::barrierAllOnStream does, except that no
+/// stream waits on PE `skip_peer`'s event.
+class BrokenCachedBarrier final : public core::EmbeddingRetriever {
  public:
-  BrokenCachedNoBarrier(emb::ShardedEmbeddingLayer& layer,
-                        pgas::PgasRuntime& runtime, int slices,
-                        emb::ReplicaCache* cache)
-      : layer_(layer), runtime_(runtime), slices_(slices), cache_(cache) {
+  BrokenCachedBarrier(emb::ShardedEmbeddingLayer& layer,
+                      pgas::PgasRuntime& runtime, int slices,
+                      emb::ReplicaCache* cache, int skip_peer)
+      : layer_(layer),
+        runtime_(runtime),
+        slices_(slices),
+        cache_(cache),
+        skip_peer_(skip_peer),
+        events_(static_cast<std::size_t>(layer.system().numGpus())) {
     PGASEMB_CHECK(cache != nullptr, "this seeded bug needs the cache");
     auto& system = layer.system();
     const auto& sh = layer.sharding();
@@ -666,9 +675,12 @@ class BrokenCachedNoBarrier final : public core::EmbeddingRetriever {
     }
   }
 
-  ~BrokenCachedNoBarrier() override { runtime_.heap().free(outputs_sym_); }
+  ~BrokenCachedBarrier() override { runtime_.heap().free(outputs_sym_); }
 
-  std::string name() const override { return "broken_cached_no_barrier"; }
+  std::string name() const override {
+    return skip_peer_ < 0 ? "broken_cached_no_barrier"
+                          : "broken_cached_barrier_skips_peer";
+  }
   gpu::DeviceBuffer& output(int gpu) override {
     return outputs_view_[static_cast<std::size_t>(gpu)];
   }
@@ -680,7 +692,6 @@ class BrokenCachedNoBarrier final : public core::EmbeddingRetriever {
     const SimTime t0 = system.hostNow();
     const emb::CacheFilter filter(layer_, batch, *cache_);
     for (int g = 0; g < p; ++g) {
-      system.launchKernel(g, emb::buildCacheProbeKernel(layer_, filter, g));
       auto fused = emb::buildFusedLookupKernel(layer_, batch, g, nullptr,
                                                slices_, &filter);
       std::vector<simsan::MemEffect> remote_writes;
@@ -698,8 +709,25 @@ class BrokenCachedNoBarrier final : public core::EmbeddingRetriever {
                                  nullptr, nullptr, std::move(remote_writes));
       system.launchKernel(g, std::move(fused.desc));
     }
-    // BUG: no system.syncAll() here — the serve overlay runs concurrent
-    // with the other GPUs' one-sided miss writes into the same tensor.
+    if (skip_peer_ >= 0) {
+      // BUG: the barrier forgets one peer — every other stream runs its
+      // serve overlay without waiting for skip_peer's quiet, i.e.
+      // concurrent with skip_peer's one-sided miss writes.
+      for (int g = 0; g < p; ++g) {
+        events_[static_cast<std::size_t>(g)].reset();
+        system.stream(g).enqueueRecord(system.hostNow(),
+                                       events_[static_cast<std::size_t>(g)]);
+      }
+      for (int g = 0; g < p; ++g) {
+        for (int peer = 0; peer < p; ++peer) {
+          if (peer == g || peer == skip_peer_) continue;
+          system.stream(g).enqueueWaitEvent(
+              system.hostNow(), events_[static_cast<std::size_t>(peer)]);
+        }
+      }
+    }
+    // BUG (skip_peer < 0): no barrier at all — the serve overlay runs
+    // concurrent with the other GPUs' one-sided miss writes.
     for (int g = 0; g < p; ++g) {
       auto serve = emb::buildCacheServeKernel(layer_, batch, filter, g,
                                               nullptr, nullptr);
@@ -731,16 +759,30 @@ class BrokenCachedNoBarrier final : public core::EmbeddingRetriever {
   pgas::PgasRuntime& runtime_;
   int slices_;
   emb::ReplicaCache* cache_;
+  int skip_peer_;
+  std::vector<gpu::GpuEvent> events_;  // one per PE; never resized
   pgas::SymmetricBuffer outputs_sym_;
   std::vector<gpu::DeviceBuffer> outputs_view_;
 };
+
+/// The peer the partial barrier forgets.
+constexpr int kSkippedPeer = 1;
 
 const core::RetrieverRegistrar kBrokenCachedRegistrar{
     "broken_cached_no_barrier",
     [](const core::SystemContext& ctx)
         -> std::unique_ptr<core::EmbeddingRetriever> {
-      return std::make_unique<BrokenCachedNoBarrier>(
-          ctx.layer, ctx.runtime, ctx.pgas_slices, ctx.cache);
+      return std::make_unique<BrokenCachedBarrier>(
+          ctx.layer, ctx.runtime, ctx.pgas_slices, ctx.cache,
+          /*skip_peer=*/-1);
+    }};
+
+const core::RetrieverRegistrar kBrokenCachedSkipRegistrar{
+    "broken_cached_barrier_skips_peer",
+    [](const core::SystemContext& ctx)
+        -> std::unique_ptr<core::EmbeddingRetriever> {
+      return std::make_unique<BrokenCachedBarrier>(
+          ctx.layer, ctx.runtime, ctx.pgas_slices, ctx.cache, kSkippedPeer);
     }};
 
 TEST(SeededBugTest, CachedServeWithoutBarrierIsFlagged) {
@@ -752,6 +794,29 @@ TEST(SeededBugTest, CachedServeWithoutBarrierIsFlagged) {
   // The report names the serve overlay against the in-flight one-sided
   // miss write it fails to order against.
   EXPECT_TRUE(anyRaceMentions(s, "emb_cache_serve", ".put")) << s.report();
+  EXPECT_EQ(s.out_of_bounds, 0) << s.report();
+  EXPECT_EQ(s.lifetime_errors, 0) << s.report();
+}
+
+TEST(SeededBugTest, CachedBarrierSkippingOnePeerIsFlagged) {
+  engine::ScenarioRunner runner(tinyCachedSimsanConfig(4));
+  const auto result = runner.run("broken_cached_barrier_skips_peer");
+  ASSERT_TRUE(result.sanitizer.has_value());
+  const auto& s = *result.sanitizer;
+  EXPECT_GT(s.races, 0) << s.report();
+  // Only the forgotten peer's puts race with the serve overlays; the
+  // peers the barrier does wait on stay ordered.
+  const std::string skipped_put =
+      "emb_lookup_pgas_fused.gpu" + std::to_string(kSkippedPeer) + ".put";
+  EXPECT_TRUE(anyRaceMentions(s, "emb_cache_serve", skipped_put))
+      << s.report();
+  for (int peer = 0; peer < 4; ++peer) {
+    if (peer == kSkippedPeer) continue;
+    EXPECT_FALSE(anyRaceMentions(
+        s, "emb_cache_serve",
+        "emb_lookup_pgas_fused.gpu" + std::to_string(peer) + ".put"))
+        << s.report();
+  }
   EXPECT_EQ(s.out_of_bounds, 0) << s.report();
   EXPECT_EQ(s.lifetime_errors, 0) << s.report();
 }
