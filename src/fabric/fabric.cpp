@@ -25,7 +25,9 @@ Fabric::Delivery Fabric::transfer(int src, int dst,
     SimTime cursor = at;
     SimTime wire_start = at;
     bool first_hop = true;
-    for (Link* link : topology_->route(src, dst)) {
+    route_.clear();
+    topology_->appendRoute(src, dst, route_);
+    for (Link* link : route_) {
       // Store-and-forward at flow granularity per hop.
       const auto grant =
           link->occupy(cursor, payload_bytes, n_messages,

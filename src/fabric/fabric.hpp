@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "fabric/time_series_counter.hpp"
 #include "fabric/topology.hpp"
@@ -111,6 +112,9 @@ class Fabric {
   std::int64_t dropped_flows_ = 0;
   std::int64_t dropped_payload_bytes_ = 0;
   FlowObserver flow_observer_;
+  /// The current flow's hops, reused so transfer() allocates nothing per
+  /// flow (nothing re-enters transfer() while the hop loop runs).
+  std::vector<Link*> route_;
 };
 
 }  // namespace pgasemb::fabric

@@ -29,9 +29,9 @@ Link& NvlinkAllToAllTopology::link(int src, int dst) {
   return *links_[static_cast<std::size_t>(src) * num_gpus_ + dst];
 }
 
-std::vector<Link*> NvlinkAllToAllTopology::route(int src, int dst) {
-  if (src == dst) return {};
-  return {&link(src, dst)};
+void NvlinkAllToAllTopology::appendRoute(int src, int dst,
+                                         std::vector<Link*>& hops) {
+  if (src != dst) hops.push_back(&link(src, dst));
 }
 
 std::vector<Link*> NvlinkAllToAllTopology::links() {
@@ -54,12 +54,13 @@ NvSwitchTopology::NvSwitchTopology(int num_gpus,
   }
 }
 
-std::vector<Link*> NvSwitchTopology::route(int src, int dst) {
+void NvSwitchTopology::appendRoute(int src, int dst,
+                                   std::vector<Link*>& hops) {
   PGASEMB_CHECK(src >= 0 && src < num_gpus_ && dst >= 0 && dst < num_gpus_,
                 "bad route endpoints ", src, "->", dst);
-  if (src == dst) return {};
-  return {up_[static_cast<std::size_t>(src)].get(),
-          down_[static_cast<std::size_t>(dst)].get()};
+  if (src == dst) return;
+  hops.push_back(up_[static_cast<std::size_t>(src)].get());
+  hops.push_back(down_[static_cast<std::size_t>(dst)].get());
 }
 
 std::vector<Link*> NvSwitchTopology::links() {
@@ -80,14 +81,12 @@ RingTopology::RingTopology(int num_gpus, const LinkParams& params)
   }
 }
 
-std::vector<Link*> RingTopology::route(int src, int dst) {
+void RingTopology::appendRoute(int src, int dst, std::vector<Link*>& hops) {
   PGASEMB_CHECK(src >= 0 && src < num_gpus_ && dst >= 0 && dst < num_gpus_,
                 "bad route endpoints ", src, "->", dst);
-  std::vector<Link*> out;
   for (int hop = src; hop != dst; hop = (hop + 1) % num_gpus_) {
-    out.push_back(hops_[static_cast<std::size_t>(hop)].get());
+    hops.push_back(hops_[static_cast<std::size_t>(hop)].get());
   }
-  return out;
 }
 
 std::vector<Link*> RingTopology::links() {
@@ -132,14 +131,18 @@ Link& MultiNodeTopology::intraLink(int src, int dst) {
   return *intra_links_[static_cast<std::size_t>(src) * n + dst];
 }
 
-std::vector<Link*> MultiNodeTopology::route(int src, int dst) {
+void MultiNodeTopology::appendRoute(int src, int dst,
+                                    std::vector<Link*>& hops) {
   const int n = numGpus();
   PGASEMB_CHECK(src >= 0 && src < n && dst >= 0 && dst < n,
                 "bad route endpoints ", src, "->", dst);
-  if (src == dst) return {};
-  if (nodeOf(src) == nodeOf(dst)) return {&intraLink(src, dst)};
-  return {nic_up_[static_cast<std::size_t>(nodeOf(src))].get(),
-          nic_down_[static_cast<std::size_t>(nodeOf(dst))].get()};
+  if (src == dst) return;
+  if (nodeOf(src) == nodeOf(dst)) {
+    hops.push_back(&intraLink(src, dst));
+    return;
+  }
+  hops.push_back(nic_up_[static_cast<std::size_t>(nodeOf(src))].get());
+  hops.push_back(nic_down_[static_cast<std::size_t>(nodeOf(dst))].get());
 }
 
 std::vector<Link*> MultiNodeTopology::nicLinks(int node) {

@@ -27,7 +27,15 @@ class Topology {
 
   /// Ordered links a flow from `src` to `dst` traverses. Empty for local
   /// (src == dst) transfers.
-  virtual std::vector<Link*> route(int src, int dst) = 0;
+  std::vector<Link*> route(int src, int dst) {
+    std::vector<Link*> hops;
+    appendRoute(src, dst, hops);
+    return hops;
+  }
+
+  /// Appends route(src, dst) to `hops`; a caller that reuses one vector
+  /// routes every flow without allocating.
+  virtual void appendRoute(int src, int dst, std::vector<Link*>& hops) = 0;
 
   /// All links (for counters/reset/utilization reports).
   virtual std::vector<Link*> links() = 0;
@@ -80,7 +88,7 @@ class NvlinkAllToAllTopology final : public Topology {
   NvlinkAllToAllTopology(int num_gpus, const LinkParams& params);
 
   int numGpus() const override { return num_gpus_; }
-  std::vector<Link*> route(int src, int dst) override;
+  void appendRoute(int src, int dst, std::vector<Link*>& hops) override;
   std::vector<Link*> links() override;
   bool dedicatedPairLinks() const override { return true; }
 
@@ -102,7 +110,7 @@ class NvSwitchTopology final : public Topology {
   NvSwitchTopology(int num_gpus, const LinkParams& port_params);
 
   int numGpus() const override { return num_gpus_; }
-  std::vector<Link*> route(int src, int dst) override;
+  void appendRoute(int src, int dst, std::vector<Link*>& hops) override;
   std::vector<Link*> links() override;
 
  private:
@@ -120,7 +128,7 @@ class RingTopology final : public Topology {
   RingTopology(int num_gpus, const LinkParams& params);
 
   int numGpus() const override { return num_gpus_; }
-  std::vector<Link*> route(int src, int dst) override;
+  void appendRoute(int src, int dst, std::vector<Link*>& hops) override;
   std::vector<Link*> links() override;
 
  private:
@@ -142,7 +150,7 @@ class MultiNodeTopology final : public Topology {
                     bool shared_nic_queue = false);
 
   int numGpus() const override { return num_nodes_ * gpus_per_node_; }
-  std::vector<Link*> route(int src, int dst) override;
+  void appendRoute(int src, int dst, std::vector<Link*>& hops) override;
   std::vector<Link*> links() override;
 
   LinkClass routeClass(int src, int dst) const override {

@@ -672,7 +672,10 @@ engine::ExperimentConfig certifiedConfig(
   return cfg;
 }
 
-using CertParams = std::tuple<int /*gpus*/, const char* /*retriever*/>;
+// The retriever is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, which would make the test names
+// differ from one process to the next.
+using CertParams = std::tuple<int /*gpus*/, std::string /*retriever*/>;
 class RecoveryCertification : public ::testing::TestWithParam<CertParams> {};
 
 TEST_P(RecoveryCertification, RetransmitAndReissuePathsAreRaceFree) {
@@ -688,7 +691,7 @@ TEST_P(RecoveryCertification, RetransmitAndReissuePathsAreRaceFree) {
   // The flap was placed inside the strategy's own traffic phase, so the
   // recovery path demonstrably ran (the pipelined strategy overlaps its
   // phases, so only the two phase-separable strategies guarantee drops).
-  if (std::string(retriever) != "nccl_pipelined") {
+  if (retriever != "nccl_pipelined") {
     EXPECT_GT(result.resilience->dropped_flows, 0);
   }
 }
