@@ -1,28 +1,71 @@
-// Shared scaffolding for the paper-reproduction benchmark binaries.
+// Shared scaffolding for the pgasemb_bench experiments.
 //
-// All benches dispatch retrievers by registry name through
+// All experiments dispatch retrievers by registry name through
 // engine::ScenarioRunner; the shared --retrievers=a,b,c flag picks which
 // strategies a sweep compares (first name = reference/baseline).
+//
+// Operator errors (bad flag values, unknown names, configs validate()
+// rejects) throw InvalidArgumentError; pgasemb_bench's main turns that
+// into a pointed message and exit status 2.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/registry.hpp"
+#include "engine/scenario_runner.hpp"
 #include "trace/report.hpp"
 #include "util/cli.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::bench {
 
+// The pgasemb_bench experiments (one row each in its table).
+/// T1/T2 and Figs 5, 6, 8, 9: the weak or strong problem swept over
+/// 1..--max-gpus, rendered as the speedup table + scaling chart or as
+/// the runtime breakdown.
+template <bool weak, bool breakdown>
+int scalingSweep(CliParser& cli, int argc, char** argv);
+int commVolume(CliParser& cli, int argc, char** argv);
+int ablationPooling(CliParser& cli, int argc, char** argv);
+int ablationHeader(CliParser& cli, int argc, char** argv);
+int sharding(CliParser& cli, int argc, char** argv);
+int ablationBatch(CliParser& cli, int argc, char** argv);
+int ablationOverlap(CliParser& cli, int argc, char** argv);
+int inputPartition(CliParser& cli, int argc, char** argv);
+int skew(CliParser& cli, int argc, char** argv);
+int pipelined(CliParser& cli, int argc, char** argv);
+int aggregator(CliParser& cli, int argc, char** argv);
+int backward(CliParser& cli, int argc, char** argv);
+int training(CliParser& cli, int argc, char** argv);
+int cache(CliParser& cli, int argc, char** argv);
+int multinode(CliParser& cli, int argc, char** argv);
+int faults(CliParser& cli, int argc, char** argv);
+int serving(CliParser& cli, int argc, char** argv);
+int simcore(CliParser& cli, int argc, char** argv);
+
 /// The paper's comparison pair: NCCL collective baseline vs PGAS fused.
 inline constexpr const char* kDefaultRetrievers = "nccl_collective,pgas_fused";
 
-/// Registers the shared --retrievers flag (comma-separated registry
-/// names; first is the reference the others are compared against).
+/// Splits a comma-separated flag value, dropping spaces and empty items.
+inline std::vector<std::string> splitList(const std::string& spec) {
+  std::vector<std::string> items;
+  std::string current;
+  for (const char c : spec) {
+    if (c == ',') {
+      if (!current.empty()) items.push_back(current);
+      current.clear();
+    } else if (c != ' ') {
+      current += c;
+    }
+  }
+  if (!current.empty()) items.push_back(current);
+  return items;
+}
+
 inline std::string registeredRetrieverNames() {
   std::string known;
   for (const auto& name : core::RetrieverRegistry::instance().names()) {
@@ -31,6 +74,8 @@ inline std::string registeredRetrieverNames() {
   return known;
 }
 
+/// Registers the shared --retrievers flag (comma-separated registry
+/// names; first is the reference the others are compared against).
 inline void addRetrieversFlag(CliParser& cli,
                               const char* defaults = kDefaultRetrievers) {
   cli.addString("retrievers", defaults,
@@ -38,32 +83,20 @@ inline void addRetrieversFlag(CliParser& cli,
                 "reference); registered: " + registeredRetrieverNames());
 }
 
-/// Parses the --retrievers flag into a validated, non-empty name list.
+/// Parses the --retrievers flag into a validated, non-empty name list,
+/// so a typoed name fails before any run starts.
 inline std::vector<std::string> retrieverList(const CliParser& cli) {
-  const std::string spec = cli.getString("retrievers");
-  std::vector<std::string> names;
-  std::string current;
-  for (const char c : spec) {
-    if (c == ',') {
-      if (!current.empty()) names.push_back(current);
-      current.clear();
-    } else if (c != ' ') {
-      current += c;
-    }
-  }
-  if (!current.empty()) names.push_back(current);
-  // Fail fast and clean (exit 2, no uncaught-exception abort): a typoed
-  // retriever name is an operator error, not a library bug.
+  const auto names = splitList(cli.getString("retrievers"));
   if (names.empty()) {
-    fprintf(stderr, "--retrievers needs at least one name (registered: %s)\n",
-            registeredRetrieverNames().c_str());
-    std::exit(2);
+    throw InvalidArgumentError("--retrievers needs at least one name "
+                               "(registered: " +
+                               registeredRetrieverNames() + ")");
   }
   for (const auto& name : names) {
     if (!core::RetrieverRegistry::instance().contains(name)) {
-      fprintf(stderr, "--retrievers: unknown retriever '%s' (registered: %s)\n",
-              name.c_str(), registeredRetrieverNames().c_str());
-      std::exit(2);
+      throw InvalidArgumentError("--retrievers: unknown retriever '" + name +
+                                 "' (registered: " +
+                                 registeredRetrieverNames() + ")");
     }
   }
   return names;
@@ -150,16 +183,9 @@ inline void applyFaultFlags(const CliParser& cli,
                             engine::ExperimentConfig& cfg) {
   const std::string spec = cli.getString("faults");
   if (!spec.empty()) {
-    // Fail fast and clean (exit 2, no uncaught-exception abort): a
-    // malformed fault spec is an operator error, not a library bug.
-    try {
-      cfg.faults = fault::FaultPlan::parse(
-          spec, static_cast<std::uint64_t>(cli.getInt("fault-seed")),
-          SimTime::ms(cli.getDouble("fault-horizon-ms")));
-    } catch (const Error& e) {
-      fprintf(stderr, "%s\n(run with --help for usage)\n", e.what());
-      std::exit(2);
-    }
+    cfg.faults = fault::FaultPlan::parse(
+        spec, static_cast<std::uint64_t>(cli.getInt("fault-seed")),
+        SimTime::ms(cli.getDouble("fault-horizon-ms")));
   }
   const double slo_ms = cli.getDouble("slo-ms");
   if (slo_ms > 0.0) {
@@ -195,13 +221,8 @@ inline void addAdmissionFlags(CliParser& cli) {
 inline void applyAdmissionFlags(const CliParser& cli,
                                 engine::ExperimentConfig& cfg) {
   cfg.serving.admit_queue = cli.getInt("admit-queue");
-  try {
-    cfg.serving.shed_policy =
-        engine::parseShedPolicy(cli.getString("shed-policy"));
-  } catch (const Error& e) {
-    fprintf(stderr, "%s\n(run with --help for usage)\n", e.what());
-    std::exit(2);
-  }
+  cfg.serving.shed_policy =
+      engine::parseShedPolicy(cli.getString("shed-policy"));
   cfg.serving.query_deadline_ms = cli.getDouble("query-deadline-ms");
   cfg.serving.admit_window = static_cast<int>(cli.getInt("admit-window"));
 }
@@ -236,45 +257,15 @@ inline void applyMultinodeFlags(const CliParser& cli,
   cfg.nic_shared_queue = cli.getBool("nic-shared-queue");
 }
 
-/// Cross-field config validation at flag-parse time. Fail fast and
-/// clean (exit 2, no uncaught-exception abort): an inconsistent flag
-/// combination is an operator error, not a library bug.
-inline void validateOrExit(const engine::ExperimentConfig& cfg) {
-  try {
-    cfg.validate();
-  } catch (const Error& e) {
-    fprintf(stderr, "%s\n(run with --help for usage)\n", e.what());
-    std::exit(2);
-  }
-}
-
-/// Run every named retriever at 1..max_gpus for one scaling mode.
-/// `tweak` (optional) edits each point's config before the runner is
-/// built — fault plans, SLO policies, link overrides.
-inline std::vector<trace::ScalingPoint> sweepScaling(
-    bool weak, int max_gpus, int num_batches,
-    const std::vector<std::string>& retrievers, bool simsan = false,
-    std::int64_t cache_rows = 0, double zipf_alpha = 0.0,
-    const std::function<void(engine::ExperimentConfig&)>& tweak = nullptr,
-    bool simsan_strict = false) {
-  std::vector<trace::ScalingPoint> points;
-  for (int gpus = 1; gpus <= max_gpus; ++gpus) {
-    engine::ExperimentConfig cfg = weak ? engine::weakScalingConfig(gpus)
-                                        : engine::strongScalingConfig(gpus);
-    cfg.num_batches = num_batches;
-    cfg.simsan = simsan;
-    cfg.simsan_strict = simsan_strict;
-    cfg.cache_rows = cache_rows;
-    cfg.layer.zipf_alpha = zipf_alpha;
-    if (tweak) tweak(cfg);
-    validateOrExit(cfg);
-    engine::ScenarioRunner runner(cfg);
-    trace::ScalingPoint point;
-    point.gpus = gpus;
-    point.runs = runner.runAll(retrievers);
-    points.push_back(std::move(point));
-  }
-  return points;
+/// IB-like inter-node links (pinned by tests/multinode_test.cpp):
+/// 25 GB/s, 5 us, 64 B headers, 10 M msg/s. No-op on a single node.
+inline void applyInterNodeLink(engine::ExperimentConfig& cfg, int nodes) {
+  if (nodes <= 1) return;
+  cfg.num_nodes = nodes;
+  cfg.inter_node_link.bandwidth_bytes_per_sec = 25e9;
+  cfg.inter_node_link.latency = SimTime::us(5.0);
+  cfg.inter_node_link.header_bytes = 64;
+  cfg.inter_node_link.max_messages_per_sec = 10e6;
 }
 
 /// Prints one simsan verdict line per run (only when reports exist, so
@@ -298,21 +289,60 @@ inline void printHeader(const std::string& title) {
   printf("==========================================================\n");
 }
 
-inline void printPerGpuRuntimes(const std::vector<trace::ScalingPoint>& pts) {
-  if (pts.empty() || pts[0].runs.empty()) {
-    printf("\n(no scaling points to report — the sweep produced no runs)\n");
-    return;
+/// Opens a --bench-json / --json record for writing.
+inline FILE* openJson(const std::string& path, const char* flag) {
+  FILE* out = fopen(path.c_str(), "w");
+  PGASEMB_CHECK(out != nullptr, flag, ": cannot open ", path);
+  return out;
+}
+
+/// Writes one `  "key": {"name": <emit(i)>, ...}` object of a JSON
+/// record; emit(i) prints the value for names[i].
+template <typename Emit>
+void writeJsonField(FILE* out, const char* key,
+                    const std::vector<std::string>& names, Emit emit) {
+  fprintf(out, "  \"%s\": {", key);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    fprintf(out, "%s\"%s\": ", i == 0 ? "" : ", ", names[i].c_str());
+    emit(i);
   }
-  printf("\nPer-batch EMB-layer time (ms), accumulated over %d batches:\n",
-         pts[0].reference().result.stats.batches);
-  for (const auto& p : pts) {
-    printf("  %d GPU(s):", p.gpus);
-    for (const auto& run : p.runs) {
-      printf(" %s %8.3f ms  ", trace::runKey(run.retriever).c_str(),
-             run.result.avgBatchMs());
-    }
-    printf(" speedup %.2fx\n", p.speedup());
+  fprintf(out, "}");
+}
+
+inline double secondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Host cost of a simulated run: the wall clock around it and the
+/// simulator events it processed (the simulated result is unaffected).
+struct TimedRun {
+  double wall_ms_per_batch = 0.0;
+  double events_per_sec = 0.0;
+  std::uint64_t events_processed = 0;
+};
+
+/// Runs `retriever` `repeats` times and keeps the fastest wall time:
+/// transient host noise only ever slows a run down.
+inline TimedRun timeRuns(engine::ScenarioRunner& runner,
+                         const std::string& retriever, int repeats = 1) {
+  TimedRun r;
+  double best_s = 0.0;
+  for (int i = 0; i < repeats; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)runner.run(retriever);
+    const double s = secondsSince(t0);
+    const auto processed =
+        runner.builder().system().simulator().eventsProcessed();
+    PGASEMB_CHECK(i == 0 || processed == r.events_processed,
+                  "timed run event count drifted across repeats");
+    if (i == 0 || s < best_s) best_s = s;
+    r.events_processed = processed;
   }
+  r.wall_ms_per_batch = best_s * 1000.0 / runner.config().num_batches;
+  r.events_per_sec =
+      best_s > 0.0 ? static_cast<double>(r.events_processed) / best_s : 0.0;
+  return r;
 }
 
 }  // namespace pgasemb::bench

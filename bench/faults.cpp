@@ -25,9 +25,8 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
+namespace pgasemb::bench {
 namespace {
-
-using namespace pgasemb;
 
 struct Severity {
   const char* name;
@@ -75,17 +74,6 @@ std::string midRunFlap(double start_ms, double width_ms) {
   return buf;
 }
 
-/// IB-like inter-node links (the bench_multinode parameters): 25 GB/s,
-/// 5 us, 64 B headers, 10 M msg/s.
-void applyInterNodeLink(engine::ExperimentConfig& cfg, int nodes) {
-  if (nodes <= 1) return;
-  cfg.num_nodes = nodes;
-  cfg.inter_node_link.bandwidth_bytes_per_sec = 25e9;
-  cfg.inter_node_link.latency = SimTime::us(5.0);
-  cfg.inter_node_link.header_bytes = 64;
-  cfg.inter_node_link.max_messages_per_sec = 10e6;
-}
-
 /// Serving goodput under overload: offered load far past the 2-GPU knee
 /// with the full admission stack armed (bounded queue + shed-oldest,
 /// queue-wait deadlines, sliding-window controller against a 2 ms SLO).
@@ -102,7 +90,6 @@ double overloadGoodputQps(const std::string& retriever) {
   cfg.serving.shed_policy = engine::ShedPolicy::kShedOldest;
   cfg.serving.query_deadline_ms = 4.0;
   cfg.serving.admit_window = 50;
-  bench::validateOrExit(cfg);
   engine::ServingRunner runner(cfg);
   const auto result = runner.run(retriever);
   return result.serving ? result.serving->goodput_qps : 0.0;
@@ -110,11 +97,7 @@ double overloadGoodputQps(const std::string& retriever) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace pgasemb;
-  CliParser cli(
-      "Fault-severity x retriever sweep: per-batch slowdown and "
-      "resilience counters under injected faults.");
+int faults(CliParser& cli, int argc, char** argv) {
   cli.addInt("gpus", 4,
              "total GPU count to run every severity level at (with "
              "--nodes > 1: must be divisible by the node count)");
@@ -129,33 +112,30 @@ int main(int argc, char** argv) {
                 "write the tracked resilience metrics (recovery ms, "
                 "degraded-mode fraction, serving goodput under overload) "
                 "to this path; empty = off");
-  bench::addRetrieversFlag(cli);
-  bench::addSimsanFlag(cli);
-  bench::addCoalesceFlag(cli);
-  if (!cli.parseOrExit(argc, argv)) return 0;
+  addRetrieversFlag(cli);
+  addSimsanFlag(cli);
+  addCoalesceFlag(cli);
+  if (!cli.parse(argc, argv)) return 0;
 
   const int gpus = static_cast<int>(cli.getInt("gpus"));
   const int batches = static_cast<int>(cli.getInt("batches"));
   const int nodes = static_cast<int>(cli.getInt("nodes"));
   const auto seed = static_cast<std::uint64_t>(cli.getInt("fault-seed"));
-  const auto retrievers = bench::retrieverList(cli);
+  const auto retrievers = retrieverList(cli);
   const bool node_mode = nodes > 1;
-  if (node_mode && (gpus % nodes != 0 || gpus / nodes < 2)) {
-    fprintf(stderr,
-            "--nodes %d needs --gpus divisible by it with >= 2 GPUs per "
-            "node (got %d)\n",
-            nodes, gpus);
-    return 2;
-  }
+  PGASEMB_CHECK(!node_mode || (gpus % nodes == 0 && gpus / nodes >= 2),
+                "--nodes ", nodes,
+                " needs --gpus divisible by it with >= 2 GPUs per node (got ",
+                gpus, ")");
 
   if (node_mode) {
-    bench::printHeader(
+    printHeader(
         "Node-level fault domains at " + std::to_string(nodes) + " nodes x " +
         std::to_string(gpus / nodes) + " GPUs (hierarchical a2a), " +
         std::to_string(batches) + " batches, fault seed " +
         std::to_string(seed));
   } else {
-    bench::printHeader("Fault-severity sweep at " + std::to_string(gpus) +
+    printHeader("Fault-severity sweep at " + std::to_string(gpus) +
                        " GPUs, " + std::to_string(batches) +
                        " batches, fault seed " + std::to_string(seed));
   }
@@ -208,7 +188,7 @@ int main(int argc, char** argv) {
       cfg.hierarchical_a2a = true;
     }
     cfg.num_batches = batches;
-    bench::applySimsanFlags(cli, cfg);
+    applySimsanFlags(cli, cfg);
     if (sev.spec[0] != '\0') {
       std::string spec = sev.spec;
       const auto marker = spec.find("+flap");
@@ -219,8 +199,7 @@ int main(int argc, char** argv) {
       }
       cfg.faults = fault::FaultPlan::parse(spec, seed, horizon);
     }
-    bench::applyCoalesceFlag(cli, cfg);
-    bench::validateOrExit(cfg);
+    applyCoalesceFlag(cli, cfg);
     engine::ScenarioRunner runner(cfg);
     trace::ScalingPoint point;
     point.gpus = gpus;
@@ -294,7 +273,7 @@ int main(int argc, char** argv) {
     printf("('none' must match the fault-free benches exactly — the fault "
            "layer is zero-cost when off)\n");
   }
-  bench::printSimsanReports(points);
+  printSimsanReports(points);
   if (csv) {
     csv->close();
     printf("\nwrote %s\n", csv_path.c_str());
@@ -311,36 +290,32 @@ int main(int argc, char** argv) {
     for (std::size_t r = 0; r < retrievers.size(); ++r) {
       goodput[r] = overloadGoodputQps(retrievers[r]);
     }
-    FILE* out = fopen(bench_json.c_str(), "w");
-    PGASEMB_CHECK(out != nullptr, "--bench-json: cannot open " + bench_json);
-    const auto field = [&](const char* key, auto emit) {
-      fprintf(out, "  \"%s\": {", key);
-      for (std::size_t r = 0; r < retrievers.size(); ++r) {
-        fprintf(out, "%s\"%s\": ", r == 0 ? "" : ", ",
-                retrievers[r].c_str());
-        emit(r);
-      }
-      fprintf(out, "}");
-    };
+    FILE* out = openJson(bench_json, "--bench-json");
     fprintf(out, "{\n  \"bench\": \"resilience\",\n");
     fprintf(out, "  \"nodes\": %d,\n  \"gpus\": %d,\n  \"batches\": %d,\n",
             node_mode ? nodes : 1, gpus, batches);
     fprintf(out, "  \"fault_seed\": %llu,\n",
             static_cast<unsigned long long>(seed));
-    field("resilience_recovery_ms",
-          [&](std::size_t r) { fprintf(out, "%.4f", recovery_ms[r]); });
+    writeJsonField(out, "resilience_recovery_ms", retrievers,
+                   [&](std::size_t r) {
+                     fprintf(out, "%.4f", recovery_ms[r]);
+                   });
     fprintf(out, ",\n");
-    field("resilience_degraded_fraction", [&](std::size_t r) {
-      fprintf(out, "%.6f",
-              faulted_total_ms[r] > 0.0 ? degraded_ms[r] / faulted_total_ms[r]
-                                        : 0.0);
-    });
+    writeJsonField(
+        out, "resilience_degraded_fraction", retrievers, [&](std::size_t r) {
+          fprintf(out, "%.6f",
+                  faulted_total_ms[r] > 0.0
+                      ? degraded_ms[r] / faulted_total_ms[r]
+                      : 0.0);
+        });
     fprintf(out, ",\n");
-    field("serving_goodput_qps",
-          [&](std::size_t r) { fprintf(out, "%.1f", goodput[r]); });
+    writeJsonField(out, "serving_goodput_qps", retrievers,
+                   [&](std::size_t r) { fprintf(out, "%.1f", goodput[r]); });
     fprintf(out, "\n}\n");
     fclose(out);
     printf("wrote %s\n", bench_json.c_str());
   }
   return 0;
 }
+
+}  // namespace pgasemb::bench

@@ -12,58 +12,28 @@
 // small Functional-mode run per compression mode so the reported
 // quantization error is measured, not estimated. Results land in
 // multinode_sweep.csv and (opt-in) the BENCH_multinode.json perf record.
-#include <cmath>
+#include <algorithm>
+#include <climits>
 
 #include "bench_common.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
-using namespace pgasemb;
-
+namespace pgasemb::bench {
 namespace {
 
-/// Comma-separated node counts ("1,2,4"); operator errors exit 2.
+/// Comma-separated positive node counts ("1,2,4").
 std::vector<int> parseNodeList(const std::string& spec) {
   std::vector<int> out;
-  std::string current;
-  const auto flush = [&] {
-    if (current.empty()) return;
-    try {
-      std::size_t pos = 0;
-      const int v = std::stoi(current, &pos);
-      if (pos != current.size() || v < 1) throw std::invalid_argument("");
-      out.push_back(v);
-    } catch (const std::exception&) {
-      fprintf(stderr, "--sweep-nodes: bad count '%s' (want positive ints)\n",
-              current.c_str());
-      std::exit(2);
-    }
-    current.clear();
-  };
-  for (const char c : spec) {
-    if (c == ',') {
-      flush();
-    } else if (c != ' ') {
-      current += c;
-    }
+  for (const auto& item : splitList(spec)) {
+    const std::int64_t v = parseIntStrict(item, "--sweep-nodes");
+    PGASEMB_CHECK(v >= 1 && v <= INT_MAX,
+                  "--sweep-nodes: bad count '", item, "' (want positive ints)");
+    out.push_back(static_cast<int>(v));
   }
-  flush();
-  if (out.empty()) {
-    fprintf(stderr, "--sweep-nodes needs at least one node count\n");
-    std::exit(2);
-  }
+  PGASEMB_CHECK(!out.empty(), "--sweep-nodes needs at least one node count");
   return out;
-}
-
-/// IB-like inter-node links shared by both bench modes (and pinned by
-/// tests/multinode_test.cpp): 25 GB/s, 5 us, 64 B headers, 10 M msg/s.
-void applyInterNodeLink(engine::ExperimentConfig& cfg, int nodes) {
-  if (nodes <= 1) return;
-  cfg.num_nodes = nodes;
-  cfg.inter_node_link.bandwidth_bytes_per_sec = 25e9;
-  cfg.inter_node_link.latency = SimTime::us(5.0);
-  cfg.inter_node_link.header_bytes = 64;
-  cfg.inter_node_link.max_messages_per_sec = 10e6;
 }
 
 /// One sweep cell: routing scheme x compression mode.
@@ -89,7 +59,7 @@ int runSweep(const CliParser& cli) {
   const int batches = static_cast<int>(cli.getInt("batches"));
   const double bound = cli.getDouble("bound");
   const auto node_list = parseNodeList(cli.getString("sweep-nodes"));
-  const auto retrievers = bench::retrieverList(cli);
+  const auto retrievers = retrieverList(cli);
 
   const auto make_cfg = [&](int nodes, const SweepMode& mode) {
     engine::ExperimentConfig cfg =
@@ -97,11 +67,10 @@ int runSweep(const CliParser& cli) {
     cfg.layer = emb::multinodeServingLayerSpec(nodes * per_node);
     cfg.num_batches = batches;
     applyInterNodeLink(cfg, nodes);
-    bench::applyMultinodeFlags(cli, cfg);
+    applyMultinodeFlags(cli, cfg);
     cfg.hierarchical_a2a = mode.hierarchical;
     cfg.compress_bound = mode.compress ? bound : 0.0;
     cfg.compress_adaptive = mode.adaptive;
-    bench::validateOrExit(cfg);
     return cfg;
   };
 
@@ -111,7 +80,7 @@ int runSweep(const CliParser& cli) {
            "all-to-all, inter-node compression off/fixed/adaptive "
            "(bound %.0e)",
            per_node, bound);
-  bench::printHeader(header);
+  printHeader(header);
 
   struct Row {
     int nodes;
@@ -185,7 +154,6 @@ int runSweep(const CliParser& cli) {
       cfg.hierarchical_a2a = true;
       cfg.compress_bound = bound;
       cfg.compress_adaptive = adaptive;
-      bench::validateOrExit(cfg);
       engine::ScenarioRunner runner(cfg);
       for (auto& run : runner.runAll(functional_retrievers)) {
         accuracy.push_back(std::move(run));
@@ -258,52 +226,42 @@ int runSweep(const CliParser& cli) {
     constexpr Tracked kTracked[] = {{"flat", "off", "flat"},
                                     {"hier", "off", "hier"},
                                     {"hier", "fixed", "hier_comp"}};
-    const auto find_row = [&](const std::string& retriever,
-                              const Tracked& t) -> const Row* {
-      for (const auto& row : rows) {
-        if (row.nodes == max_nodes && row.retriever == retriever &&
-            row.mode->routing == std::string(t.routing) &&
-            row.mode->compression == std::string(t.compression)) {
-          return &row;
+    std::vector<std::string> keys;
+    std::vector<const Row*> tracked;
+    for (const auto& retriever : retrievers) {
+      for (const auto& t : kTracked) {
+        for (const auto& row : rows) {
+          if (row.nodes == max_nodes && row.retriever == retriever &&
+              row.mode->routing == std::string(t.routing) &&
+              row.mode->compression == std::string(t.compression)) {
+            keys.push_back(retriever + "." + t.suffix);
+            tracked.push_back(&row);
+            break;
+          }
         }
       }
-      return nullptr;
-    };
-    FILE* out = fopen(bench_json.c_str(), "w");
-    PGASEMB_CHECK(out != nullptr, "--bench-json: cannot open " + bench_json);
-    const auto field = [&](const char* key, auto emit) {
-      fprintf(out, "  \"%s\": {", key);
-      bool first = true;
-      for (const auto& retriever : retrievers) {
-        for (const auto& t : kTracked) {
-          const Row* row = find_row(retriever, t);
-          if (row == nullptr) continue;
-          fprintf(out, "%s\"%s.%s\": ", first ? "" : ", ",
-                  retriever.c_str(), t.suffix);
-          emit(*row);
-          first = false;
-        }
-      }
-      fprintf(out, "}");
-    };
+    }
+    FILE* out = openJson(bench_json, "--bench-json");
     fprintf(out, "{\n  \"bench\": \"multinode\",\n");
     fprintf(out, "  \"gpus_per_node\": %d,\n  \"batches\": %d,\n", per_node,
             batches);
     fprintf(out, "  \"max_nodes\": %d,\n  \"bound\": %g,\n", max_nodes,
             bound);
-    field("multinode_ms_per_batch", [&](const Row& row) {
-      fprintf(out, "%.4f", row.result.avgBatchMs());
+    writeJsonField(out, "multinode_ms_per_batch", keys, [&](std::size_t i) {
+      fprintf(out, "%.4f", tracked[i]->result.avgBatchMs());
     });
     fprintf(out, ",\n");
-    field("multinode_inter_bytes_per_batch", [&](const Row& row) {
-      const double b = row.result.stats.batches > 0
-                           ? static_cast<double>(row.result.stats.batches)
-                           : 1.0;
-      fprintf(out, "%.1f",
-              row.result.inter_node
-                  ? row.result.inter_node->inter_wire_equivalent_bytes / b
-                  : 0.0);
-    });
+    writeJsonField(
+        out, "multinode_inter_bytes_per_batch", keys, [&](std::size_t i) {
+          const auto& result = tracked[i]->result;
+          const double b = result.stats.batches > 0
+                               ? static_cast<double>(result.stats.batches)
+                               : 1.0;
+          fprintf(out, "%.1f",
+                  result.inter_node
+                      ? result.inter_node->inter_wire_equivalent_bytes / b
+                      : 0.0);
+        });
     fprintf(out, "\n}\n");
     fclose(out);
     printf("wrote %s\n", bench_json.c_str());
@@ -313,9 +271,7 @@ int runSweep(const CliParser& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  CliParser cli("Multi-node weak scaling: baseline vs PGAS vs "
-                "PGAS+aggregator (paper SV extension).");
+int multinode(CliParser& cli, int argc, char** argv) {
   cli.addInt("batches", 10, "batches per configuration");
   cli.addInt("gpus-per-node", 4, "GPUs per node");
   cli.addBool("sweep", false,
@@ -332,15 +288,14 @@ int main(int argc, char** argv) {
                 "write the tracked multi-node metrics (ms/batch and "
                 "inter-node bytes/batch at the largest swept node count) "
                 "to this path; empty = off");
-  bench::addRetrieversFlag(cli,
-                           "nccl_collective,pgas_fused,nccl_pipelined");
-  bench::addMultinodeFlags(cli);
-  if (!cli.parseOrExit(argc, argv)) return 0;
+  addRetrieversFlag(cli, "nccl_collective,pgas_fused,nccl_pipelined");
+  addMultinodeFlags(cli);
+  if (!cli.parse(argc, argv)) return 0;
   const int per_node = static_cast<int>(cli.getInt("gpus-per-node"));
 
   if (cli.getBool("sweep")) return runSweep(cli);
 
-  bench::printHeader(
+  printHeader(
       "Multi-node weak scaling (4 GPUs/node, IB-like inter-node links)");
 
   auto make_cfg = [&](int nodes, bool agg) {
@@ -348,11 +303,10 @@ int main(int argc, char** argv) {
         engine::weakScalingConfig(nodes * per_node);
     cfg.num_batches = static_cast<int>(cli.getInt("batches"));
     applyInterNodeLink(cfg, nodes);
-    bench::applyMultinodeFlags(cli, cfg);
+    applyMultinodeFlags(cli, cfg);
     cfg.use_aggregator = agg;
     cfg.aggregator.aggregation_bytes = 64 * 1024;
     cfg.aggregator.max_wait = SimTime::us(50.0);
-    bench::validateOrExit(cfg);
     return cfg;
   };
 
@@ -378,3 +332,5 @@ int main(int argc, char** argv) {
          "the paper\n proposes for the multi-node extension.)\n");
   return 0;
 }
+
+}  // namespace pgasemb::bench

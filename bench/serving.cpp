@@ -14,76 +14,46 @@
 // --slo-ms the per-query sliding-window p95 drives the SLO fallback
 // policy, so a mid-run link degrade shows up as a retriever switch and
 // a recovery in the p95 timeline.
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 
 #include "bench_common.hpp"
 #include "engine/serving_runner.hpp"
+#include "util/parse.hpp"
 
+namespace pgasemb::bench {
 namespace {
 
-using namespace pgasemb;
-
-/// Comma-separated doubles ("500,1000,2000"); operator errors exit 2.
+/// Comma-separated positive rates ("500,1000,2000").
 std::vector<double> parseQpsList(const std::string& spec) {
   std::vector<double> out;
-  std::string current;
-  const auto flush = [&] {
-    if (current.empty()) return;
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(current, &pos);
-      if (pos != current.size() || v <= 0.0) throw std::invalid_argument("");
-      out.push_back(v);
-    } catch (const std::exception&) {
-      fprintf(stderr, "--qps-list: bad rate '%s' (want positive numbers)\n",
-              current.c_str());
-      std::exit(2);
-    }
-    current.clear();
-  };
-  for (const char c : spec) {
-    if (c == ',') {
-      flush();
-    } else if (c != ' ') {
-      current += c;
-    }
+  for (const auto& item : splitList(spec)) {
+    const double v = parseDoubleStrict(item, "--qps-list");
+    PGASEMB_CHECK(v > 0.0, "--qps-list: bad rate '", item,
+                  "' (want positive numbers)");
+    out.push_back(v);
   }
-  flush();
-  if (out.empty()) {
-    fprintf(stderr, "--qps-list needs at least one rate\n");
-    std::exit(2);
-  }
+  PGASEMB_CHECK(!out.empty(), "--qps-list needs at least one rate");
   return out;
 }
 
-/// Comma-separated arrival patterns; operator errors exit 2.
+/// Comma-separated arrival patterns ("poisson,bursty").
 std::vector<engine::ArrivalPattern> parseArrivals(const std::string& spec) {
   std::vector<engine::ArrivalPattern> out;
-  std::string current;
-  const auto flush = [&] {
-    if (current.empty()) return;
-    try {
-      out.push_back(engine::parseArrivalPattern(current));
-    } catch (const Error& e) {
-      fprintf(stderr, "%s\n(run with --help for usage)\n", e.what());
-      std::exit(2);
-    }
-    current.clear();
-  };
-  for (const char c : spec) {
-    if (c == ',') {
-      flush();
-    } else if (c != ' ') {
-      current += c;
-    }
+  for (const auto& item : splitList(spec)) {
+    out.push_back(engine::parseArrivalPattern(item));
   }
-  flush();
-  if (out.empty()) {
-    fprintf(stderr, "--arrivals needs at least one pattern\n");
-    std::exit(2);
-  }
+  PGASEMB_CHECK(!out.empty(), "--arrivals needs at least one pattern");
   return out;
+}
+
+/// The highest-load sweep point of one arrival pattern (nullptr if none).
+const trace::ServingPoint* topPoint(
+    const std::vector<trace::ServingPoint>& points, const std::string& name) {
+  const trace::ServingPoint* top = nullptr;
+  for (const auto& p : points) {
+    if (p.arrival == name && (top == nullptr || p.qps > top->qps)) top = &p;
+  }
+  return top;
 }
 
 /// The knee rule shared with trace::renderServingSummary: the largest
@@ -95,12 +65,7 @@ bool sustained(const engine::ServingResult& sv, double slo_ms) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace pgasemb;
-  CliParser cli(
-      "Open-loop serving benchmark: query load generator -> dynamic "
-      "batcher -> retriever, sweeping offered QPS x arrival pattern and "
-      "reporting per-query tail latency and the max sustainable load.");
+int serving(CliParser& cli, int argc, char** argv) {
   cli.addInt("gpus", 2, "GPU count of the serving node");
   cli.addInt("queries", 2000, "queries per configuration");
   cli.addString("qps-list", "16000,32000,64000,128000,256000",
@@ -121,34 +86,29 @@ int main(int argc, char** argv) {
   cli.addString("bench-json", "",
                 "write the tracked serving metrics (p99 ms at the lowest "
                 "swept load, max sustainable QPS) to this path; empty = off");
-  bench::addRetrieversFlag(cli);
-  bench::addSimsanFlag(cli);
-  bench::addCacheFlags(cli);
-  bench::addFaultFlags(cli);
-  bench::addAdmissionFlags(cli);
-  bench::addCoalesceFlag(cli);
-  if (!cli.parseOrExit(argc, argv)) return 0;
+  addRetrieversFlag(cli);
+  addSimsanFlag(cli);
+  addCacheFlags(cli);
+  addFaultFlags(cli);
+  addAdmissionFlags(cli);
+  addCoalesceFlag(cli);
+  if (!cli.parse(argc, argv)) return 0;
 
   const int gpus = static_cast<int>(cli.getInt("gpus"));
   const std::int64_t max_batch = cli.getInt("max-batch");
   const auto qps_list = parseQpsList(cli.getString("qps-list"));
   const auto arrivals = parseArrivals(cli.getString("arrivals"));
-  const auto retrievers = bench::retrieverList(cli);
+  const auto retrievers = retrieverList(cli);
   const double slo_ms = cli.getDouble("slo-ms");
 
-  emb::QuerySizeSpec query_size;
-  try {
-    query_size = emb::parseQuerySizeSpec(cli.getString("query-sizes"));
-  } catch (const Error& e) {
-    fprintf(stderr, "%s\n(run with --help for usage)\n", e.what());
-    std::exit(2);
-  }
+  const emb::QuerySizeSpec query_size =
+      emb::parseQuerySizeSpec(cli.getString("query-sizes"));
 
   const auto make_config = [&](engine::ArrivalPattern arrival, double qps) {
     engine::ExperimentConfig cfg;
     cfg.num_gpus = gpus;
     cfg.layer = emb::servingLayerSpec(gpus, max_batch);
-    bench::applySimsanFlags(cli, cfg);
+    applySimsanFlags(cli, cfg);
     cfg.serving.num_queries = cli.getInt("queries");
     cfg.serving.qps = qps;
     cfg.serving.arrival = arrival;
@@ -157,11 +117,10 @@ int main(int argc, char** argv) {
     cfg.serving.query_size = query_size;
     cfg.serving.max_wait_ms = cli.getDouble("max-wait-ms");
     cfg.serving.slo_ms = slo_ms;
-    bench::applyCacheFlags(cli, cfg);
-    bench::applyFaultFlags(cli, cfg);
-    bench::applyAdmissionFlags(cli, cfg);
-    bench::applyCoalesceFlag(cli, cfg);
-    bench::validateOrExit(cfg);
+    applyCacheFlags(cli, cfg);
+    applyFaultFlags(cli, cfg);
+    applyAdmissionFlags(cli, cfg);
+    applyCoalesceFlag(cli, cfg);
     return cfg;
   };
 
@@ -171,7 +130,7 @@ int main(int argc, char** argv) {
            "batch %lld, query sizes %s",
            gpus, static_cast<long long>(max_batch),
            emb::formatQuerySizeSpec(query_size).c_str());
-  bench::printHeader(header);
+  printHeader(header);
 
   std::vector<trace::ServingPoint> points;
   for (const auto arrival : arrivals) {
@@ -201,12 +160,7 @@ int main(int argc, char** argv) {
   // regime where batching, backlog, and any brownout actually bite.
   for (const auto arrival : arrivals) {
     const std::string name = engine::formatArrivalPattern(arrival);
-    const trace::ServingPoint* top = nullptr;
-    for (const auto& p : points) {
-      if (p.arrival == name && (top == nullptr || p.qps > top->qps)) {
-        top = &p;
-      }
-    }
+    const trace::ServingPoint* top = topPoint(points, name);
     if (top == nullptr) continue;
     char title[128];
     snprintf(title, sizeof(title), "p95 timeline (%s, %.0f qps)",
@@ -218,12 +172,7 @@ int main(int argc, char** argv) {
   // first arrival pattern's highest load.
   {
     const std::string name = engine::formatArrivalPattern(arrivals.front());
-    const trace::ServingPoint* top = nullptr;
-    for (const auto& p : points) {
-      if (p.arrival == name && (top == nullptr || p.qps > top->qps)) {
-        top = &p;
-      }
-    }
+    const trace::ServingPoint* top = topPoint(points, name);
     if (top != nullptr && !top->runs.empty()) {
       const auto& run = top->runs.back();
       char title[128];
@@ -276,31 +225,22 @@ int main(int argc, char** argv) {
         }
       }
     }
-    FILE* out = fopen(bench_json.c_str(), "w");
-    PGASEMB_CHECK(out != nullptr,
-                  "--bench-json: cannot open " + bench_json);
-    const auto field = [&](const char* key, auto emit) {
-      fprintf(out, "  \"%s\": {", key);
-      for (std::size_t r = 0; r < retrievers.size(); ++r) {
-        fprintf(out, "%s\"%s\": ", r == 0 ? "" : ", ",
-                retrievers[r].c_str());
-        emit(r);
-      }
-      fprintf(out, "}");
-    };
+    FILE* out = openJson(bench_json, "--bench-json");
     fprintf(out, "{\n  \"bench\": \"serving\",\n");
     fprintf(out, "  \"gpus\": %d,\n  \"queries\": %lld,\n", gpus,
             static_cast<long long>(cli.getInt("queries")));
     fprintf(out, "  \"arrival\": \"%s\",\n  \"low_qps\": %.1f,\n",
             first_arrival.c_str(), low_qps);
-    field("serving_p99_ms",
-          [&](std::size_t r) { fprintf(out, "%.4f", p99_ms[r]); });
+    writeJsonField(out, "serving_p99_ms", retrievers,
+                   [&](std::size_t r) { fprintf(out, "%.4f", p99_ms[r]); });
     fprintf(out, ",\n");
-    field("max_sustainable_qps",
-          [&](std::size_t r) { fprintf(out, "%.1f", knee_qps[r]); });
+    writeJsonField(out, "max_sustainable_qps", retrievers,
+                   [&](std::size_t r) { fprintf(out, "%.1f", knee_qps[r]); });
     fprintf(out, "\n}\n");
     fclose(out);
     printf("wrote %s\n", bench_json.c_str());
   }
   return 0;
 }
+
+}  // namespace pgasemb::bench

@@ -20,22 +20,15 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "engine/scenario_runner.hpp"
 #include "sim/simulator.hpp"
 
+namespace pgasemb::bench {
 namespace {
-
-using pgasemb::SimTime;
-
-double secondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// scheduleAt + run() over `n` events at seeded pseudo-random times;
 /// returns events/sec. The callback is trivial so the heap dominates.
 double pushPopRate(std::int64_t n) {
-  pgasemb::sim::Simulator sim;
+  sim::Simulator sim;
   std::minstd_rand rng(12345);
   std::int64_t fired = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -52,10 +45,10 @@ double pushPopRate(std::int64_t n) {
 /// The same workload enqueued through scheduleBatch in `chunk`-sized
 /// slices (the message-plan slice pattern); returns events/sec.
 double scheduleBatchRate(std::int64_t n, std::int64_t chunk) {
-  pgasemb::sim::Simulator sim;
+  sim::Simulator sim;
   std::minstd_rand rng(12345);
   std::int64_t fired = 0;
-  std::vector<pgasemb::sim::EventQueue::Batch> staged;
+  std::vector<sim::EventQueue::Batch> staged;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::int64_t i = 0; i < n; i += chunk) {
     const std::int64_t end = std::min(n, i + chunk);
@@ -82,47 +75,19 @@ double bestRate(int repeats, F measure) {
   return best;
 }
 
-struct FlowRun {
-  double wall_ms_per_batch = 0.0;
-  double events_per_sec = 0.0;
-  std::uint64_t events_processed = 0;
-};
-
 /// End-to-end PGAS weak-scaling run, best wall time of `repeats`; the
 /// pair of calls (coalesce on/off) is the recorded perf trajectory.
-FlowRun flowRun(int gpus, int batches, bool coalesce, int repeats) {
-  namespace engine = pgasemb::engine;
+TimedRun flowRun(int gpus, int batches, bool coalesce, int repeats) {
   engine::ExperimentConfig cfg = engine::weakScalingConfig(gpus);
   cfg.num_batches = batches;
   cfg.coalesce_flows = coalesce;
   engine::ScenarioRunner runner(cfg);
-  FlowRun r;
-  double best_s = 0.0;
-  for (int i = 0; i < repeats; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)runner.run("pgas_fused");
-    const double s = secondsSince(t0);
-    const auto processed =
-        runner.builder().system().simulator().eventsProcessed();
-    PGASEMB_CHECK(i == 0 || processed == r.events_processed,
-                  "flow run event count drifted across repeats");
-    if (i == 0 || s < best_s) best_s = s;
-    r.events_processed = processed;
-  }
-  r.wall_ms_per_batch = best_s * 1000.0 / batches;
-  r.events_per_sec =
-      best_s > 0.0 ? static_cast<double>(r.events_processed) / best_s : 0.0;
-  return r;
+  return timeRuns(runner, "pgas_fused", repeats);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace pgasemb;
-  CliParser cli(
-      "Simulator-core throughput: EventQueue push/pop, scheduleBatch, and "
-      "the coalesced vs per-message PGAS flow path (host wall-clock only; "
-      "simulated results are unaffected).");
+int simcore(CliParser& cli, int argc, char** argv) {
   cli.addInt("events", 1000000, "heap microbenchmark event count");
   cli.addInt("chunk", 128, "scheduleBatch slice size (pgas_slices-like)");
   cli.addInt("gpus", 8, "GPU count for the end-to-end flow runs");
@@ -132,7 +97,7 @@ int main(int argc, char** argv) {
              "transient host noise cannot fake a regression)");
   cli.addString("json", "BENCH_simcore.json",
                 "output JSON path (empty = stdout only)");
-  if (!cli.parseOrExit(argc, argv)) return 0;
+  if (!cli.parse(argc, argv)) return 0;
 
   const auto n = cli.getInt("events");
   const auto chunk = cli.getInt("chunk");
@@ -140,8 +105,9 @@ int main(int argc, char** argv) {
   const int batches = static_cast<int>(cli.getInt("batches"));
   const int repeats = static_cast<int>(cli.getInt("repeats"));
   PGASEMB_CHECK(repeats >= 1, "--repeats must be >= 1");
+  PGASEMB_CHECK(chunk >= 1, "--chunk must be >= 1");
 
-  bench::printHeader("Simulator-core throughput (host wall-clock)");
+  printHeader("Simulator-core throughput (host wall-clock)");
   const double push_pop =
       bestRate(repeats, [&] { return pushPopRate(n); });
   printf("push_pop:        %12.0f events/sec (%lld events)\n", push_pop,
@@ -150,8 +116,8 @@ int main(int argc, char** argv) {
       bestRate(repeats, [&] { return scheduleBatchRate(n, chunk); });
   printf("schedule_batch:  %12.0f events/sec (chunk %lld)\n", batched,
          static_cast<long long>(chunk));
-  const FlowRun co = flowRun(gpus, batches, /*coalesce=*/true, repeats);
-  const FlowRun per = flowRun(gpus, batches, /*coalesce=*/false, repeats);
+  const TimedRun co = flowRun(gpus, batches, /*coalesce=*/true, repeats);
+  const TimedRun per = flowRun(gpus, batches, /*coalesce=*/false, repeats);
   printf("pgas_coalesced:  %12.0f events/sec, %8.3f wall ms/batch, "
          "%llu events\n",
          co.events_per_sec, co.wall_ms_per_batch,
@@ -171,8 +137,7 @@ int main(int argc, char** argv) {
 
   const std::string json = cli.getString("json");
   if (!json.empty()) {
-    FILE* out = fopen(json.c_str(), "w");
-    PGASEMB_CHECK(out != nullptr, "--json: cannot open " + json);
+    FILE* out = openJson(json, "--json");
     fprintf(out, "{\n  \"bench\": \"simcore\",\n");
     fprintf(out, "  \"gpus\": %d,\n  \"batches\": %d,\n", gpus, batches);
     fprintf(out,
@@ -194,3 +159,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace pgasemb::bench

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Guardrail for the simulator fast path's recorded perf trajectory.
 
-Compares a freshly generated BENCH_*.json (bench_simcore --json /
-bench_weak_scaling --bench-json / bench_serving --bench-json) against
-the committed baseline and fails when a metric regressed beyond the
+Compares a freshly generated BENCH_*.json (`pgasemb_bench simcore --json`
+/ `pgasemb_bench weak_scaling --bench-json` / `pgasemb_bench serving
+--bench-json`) against the committed baseline and fails when a metric regressed beyond the
 tolerance. Direction-aware:
 
   sim_wall_ms_per_batch   lower is better  -> fail if fresh > base*(1+tol)
@@ -16,7 +16,7 @@ Usage:
   scripts/check_perf.py FRESH.json BASELINE.json [--tolerance 0.15]
 
 Exit 0 = within tolerance, 1 = regression, 2 = bad invocation/inputs.
-Run it locally after `bench_simcore --json fresh.json`, or let the
+Run it locally after `pgasemb_bench simcore --json fresh.json`, or let the
 `perf_smoke` ctest target do both steps (it uses a wider tolerance to
 ride out shared-machine noise).
 """
@@ -30,18 +30,18 @@ METRICS = {
     "sim_wall_ms_per_batch": ("lower", "ms/batch"),
     "events_per_sec": ("higher", "events/s"),
     "events_processed": ("exact", "events"),
-    # Serving tails (bench_serving --bench-json): simulated, so any drift
-    # is a modeling change, not machine noise.
+    # Serving tails (pgasemb_bench serving --bench-json): simulated, so any
+    # drift is a modeling change, not machine noise.
     "serving_p99_ms": ("lower", "ms"),
     "max_sustainable_qps": ("higher", "qps"),
-    # Multi-node sweep (bench_multinode --sweep --bench-json): modeled
+    # Multi-node sweep (pgasemb_bench multinode --sweep --bench-json): modeled
     # batch time and inter-node wire-equivalent bytes at the largest
     # swept node count, for flat / hierarchical / hierarchical+compressed
     # runs. Both simulated; the byte counts are deterministic, so drift
     # there means the traffic model itself moved.
     "multinode_ms_per_batch": ("lower", "ms/batch"),
     "multinode_inter_bytes_per_batch": ("exact", "bytes"),
-    # Resilience sweep (bench_faults --nodes N --bench-json): summed
+    # Resilience sweep (pgasemb_bench faults --nodes N --bench-json): summed
     # recovery time and degraded-mode (per-pair flat fallback) fraction
     # over the faulted severity levels, plus serving goodput at 2x-knee
     # overload with the admission stack armed. All simulated with fixed

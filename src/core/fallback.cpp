@@ -1,7 +1,6 @@
 #include "core/fallback.hpp"
 
-#include <algorithm>
-
+#include "core/latency_histogram.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::core {
@@ -43,13 +42,8 @@ bool SloTracker::record(SimTime batch_total) {
 
 SimTime SloTracker::windowP95() const {
   if (!window_full_) return SimTime::zero();
-  // Nearest-rank p95 over the window (small — default 64 entries).
-  std::vector<SimTime> sorted = window_;
-  std::sort(sorted.begin(), sorted.end());
-  const auto n = sorted.size();
-  auto rank = static_cast<std::size_t>(0.95 * static_cast<double>(n));
-  if (rank >= n) rank = n - 1;
-  return sorted[rank];
+  std::vector<SimTime> scratch = window_;  // small — default 64 entries
+  return core::windowP95(scratch);
 }
 
 bool SloTracker::recordQuery(SimTime latency) {

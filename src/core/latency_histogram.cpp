@@ -82,4 +82,13 @@ double LatencyHistogram::percentileMs(double p) const {
   return max().toMs();
 }
 
+SimTime windowP95(std::vector<SimTime>& window) {
+  if (window.empty()) return SimTime::zero();
+  const std::size_t rank = window.size() * 95 / 100;
+  std::nth_element(window.begin(),
+                   window.begin() + static_cast<std::ptrdiff_t>(rank),
+                   window.end());
+  return window[rank];
+}
+
 }  // namespace pgasemb::core

@@ -60,4 +60,10 @@ class LatencyHistogram {
   SimTime sum_ = SimTime::zero();
 };
 
+/// Nearest-rank p95 of a window of latencies: the floor(0.95 n)-th
+/// smallest value (0-based, so always < n). Reorders `window`; zero when
+/// it is empty. The serving p95 timeline, the SLO fallback tracker and
+/// the admission controller all take their window p95 from here.
+SimTime windowP95(std::vector<SimTime>& window);
+
 }  // namespace pgasemb::core

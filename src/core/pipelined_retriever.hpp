@@ -7,7 +7,7 @@
 // unpack waits on an event. This retriever implements exactly that, so
 // the benchmarks can quantify how much of the PGAS win survives the
 // strongest software-pipelined baseline (answer: the unpack pass and the
-// per-batch control path do — see bench_pipelined).
+// per-batch control path do — see pgasemb_bench pipelined).
 //
 // Timing-only: double buffering recycles output tensors across in-flight
 // batches, so the functional data plane is not supported here.

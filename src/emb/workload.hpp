@@ -30,22 +30,22 @@ inline constexpr int kPaperNumBatches = 100;
 EmbLayerSpec tinyLayerSpec();
 
 /// Skewed inference-serving workload for the hot-row replica cache
-/// (bench_cache): per GPU, 16 tables x 1M rows, dim 64, batch 16384,
-/// single-id features (pooling 1), raw indices drawn Zipf(alpha) over
-/// the row space so "capacity = x% of rows" maps directly onto the
+/// (pgasemb_bench cache): per GPU, 16 tables x 1M rows, dim 64, batch
+/// 16384, single-id features (pooling 1), raw indices drawn Zipf(alpha)
+/// over the row space so "capacity = x% of rows" maps directly onto the
 /// analytic top-x% mass.
 EmbLayerSpec cacheServingLayerSpec(int num_gpus);
 
-/// Multi-node retrieval workload (bench_multinode --sweep): per GPU, 16
-/// tables x 1M rows, dim 64, batch 2048, single-id features (pooling 1,
-/// so the pooled-value range is exactly 1.0 and the inter-node codec's
-/// per-table bound maps directly to quantizer bits). The small batch
-/// keeps 16-node x 4-GPU sweeps tractable while every (src, dst) pair
-/// still moves >100 KB per batch.
+/// Multi-node retrieval workload (pgasemb_bench multinode --sweep): per
+/// GPU, 16 tables x 1M rows, dim 64, batch 2048, single-id features
+/// (pooling 1, so the pooled-value range is exactly 1.0 and the
+/// inter-node codec's per-table bound maps directly to quantizer
+/// bits). The small batch keeps 16-node x 4-GPU sweeps tractable while
+/// every (src, dst) pair still moves >100 KB per batch.
 EmbLayerSpec multinodeServingLayerSpec(int num_gpus);
 
-/// Open-loop serving workload (bench_serving): per GPU, 8 tables x 1M
-/// rows, dim 64, pooling U(1, 32), batch shape = the dynamic batcher's
+/// Open-loop serving workload (pgasemb_bench serving): per GPU, 8 tables
+/// x 1M rows, dim 64, pooling U(1, 32), batch shape = the dynamic batcher's
 /// max batch size (retriever buffers are sized once; partially filled
 /// batches pad with NULL inputs).
 EmbLayerSpec servingLayerSpec(int num_gpus, std::int64_t max_batch_size);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/latency_histogram.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::engine {
@@ -89,14 +90,10 @@ void AdmissionController::onCompletion(SimTime latency) {
   }
   if (!window_full_ && window_.size() < cap) return;
   window_full_ = true;
-  // Nearest-rank p95 over the window (same convention as the serving
-  // timeline), then additive-increase / additive-decrease on the shed
+  // Window p95, then additive-increase / additive-decrease on the shed
   // fraction: react fast to an SLO breach, release load back slowly.
-  std::vector<SimTime> sorted = window_;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t rank = (sorted.size() * 95 + 99) / 100;
-  const SimTime p95 = sorted[std::min(rank == 0 ? 0 : rank - 1,
-                                      sorted.size() - 1)];
+  std::vector<SimTime> scratch = window_;
+  const SimTime p95 = core::windowP95(scratch);
   if (p95 > params_.slo) {
     shed_fraction_ = std::min(0.9, shed_fraction_ + 0.1);
   } else {

@@ -11,18 +11,6 @@
 #include "util/expect.hpp"
 
 namespace pgasemb::engine {
-namespace {
-
-/// Nearest-rank p95 of a window of latencies, in ms.
-double windowP95Ms(std::vector<SimTime>& window) {
-  std::sort(window.begin(), window.end());
-  const auto n = window.size();
-  auto rank = static_cast<std::size_t>(0.95 * static_cast<double>(n));
-  if (rank >= n) rank = n - 1;
-  return window[rank].toMs();
-}
-
-}  // namespace
 
 ServingRunner::ServingRunner(const ExperimentConfig& config)
     : builder_(config) {}
@@ -106,7 +94,7 @@ ExperimentResult ServingRunner::run(const std::string& retriever_name) {
       exec.recordQueryLatency(total);
       window.push_back(total);
       if (static_cast<int>(window.size()) >= config.serving.timeline_window) {
-        sv.window_p95_ms.push_back(windowP95Ms(window));
+        sv.window_p95_ms.push_back(core::windowP95(window).toMs());
         window.clear();
       }
     }

@@ -180,7 +180,8 @@ TEST(ReplicaCacheTest, OversizedReplicaFailsValidation) {
   // A replica that cannot fit beside the tables is an operator error:
   // validate() rejects it up front, naming the bytes required and
   // available, instead of the builder aborting on a device OOM.
-  // bench_serving's layer: 1M rows per table, a 2^40 raw-index domain.
+  // The serving experiment's layer: 1M rows per table, a 2^40 raw-index
+  // domain.
   engine::ExperimentConfig cfg;
   cfg.num_gpus = 4;
   cfg.layer = emb::servingLayerSpec(4, 256);

@@ -32,7 +32,7 @@ const std::vector<std::string> kRetrievers = {
     "nccl_collective", "pgas_fused", "nccl_pipelined"};
 
 /// The IB-like inter-node links every multi-node bench uses (and
-/// bench/bench_multinode.cpp pins): 25 GB/s, 5 us, 64 B, 10 M msg/s.
+/// bench/bench_common.hpp pins): 25 GB/s, 5 us, 64 B, 10 M msg/s.
 void applyInterNodeLink(ExperimentConfig& cfg, int nodes) {
   cfg.num_nodes = nodes;
   cfg.inter_node_link.bandwidth_bytes_per_sec = 25e9;

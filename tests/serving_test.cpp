@@ -678,6 +678,21 @@ TEST(LatencyHistogram, UnderflowOverflowAndMerge) {
   EXPECT_TRUE(a == all);
 }
 
+TEST(LatencyHistogram, WindowP95IsTheFloorRankNearestValue) {
+  std::vector<SimTime> empty;
+  EXPECT_EQ(core::windowP95(empty), SimTime::zero());
+  // Window sizes in use: fallback 2/32/64, admission 25/50, timeline
+  // 50/100; 20 is where the old admission rank ((95n+99)/100 - 1 = 18)
+  // differed from floor(0.95 n) = 19.
+  const std::pair<int, int> kRanks[] = {{1, 0},   {2, 1},   {20, 19},
+                                        {50, 47}, {64, 60}, {100, 95}};
+  for (const auto& [n, rank] : kRanks) {
+    std::vector<SimTime> window;
+    for (int i = n; i >= 1; --i) window.push_back(SimTime::us(i));  // unsorted
+    EXPECT_EQ(core::windowP95(window), SimTime::us(rank + 1)) << "n=" << n;
+  }
+}
+
 // --- Config validation -----------------------------------------------------
 
 TEST(Validation, RejectsBadConfigsAtParseTime) {
