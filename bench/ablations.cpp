@@ -47,9 +47,7 @@ int ablationPooling(CliParser& cli, int argc, char** argv) {
     table.addRow({std::to_string(pool),
                   ConsoleTable::num(base.avgBatchMs(), 3),
                   ConsoleTable::num(pgas.avgBatchMs(), 3),
-                  ConsoleTable::num(base.avgBatchMs() / pgas.avgBatchMs(),
-                                    2) +
-                      "x",
+                  timesCell(base.avgBatchMs() / pgas.avgBatchMs()),
                   ConsoleTable::num(wire_ms / pgas.avgBatchMs(), 3)});
   }
   printf("\n%s\n", table.render().c_str());
@@ -81,7 +79,7 @@ int ablationHeader(CliParser& cli, int argc, char** argv) {
     const double eff = 256.0 / (256.0 + header);
     table.addRow({std::to_string(header), ConsoleTable::num(eff, 3),
                   ConsoleTable::num(r.avgBatchMs(), 3),
-                  ConsoleTable::num(r.avgBatchMs() / base_ms, 3) + "x"});
+                  timesCell(r.avgBatchMs() / base_ms, 3)});
   }
   printf("\n%s\n", table.render().c_str());
   printf("(wire efficiency halves at 256 B headers, yet runtime barely "
@@ -110,14 +108,11 @@ int sharding(CliParser& cli, int argc, char** argv) {
     auto rw_cfg = cfg;
     rw_cfg.sharding = emb::ShardingScheme::kRowWise;
     const auto rw = engine::ScenarioRunner(rw_cfg).run("pgas_fused");
-    table.addRow(
-        {std::to_string(gpus), ConsoleTable::num(tw.avgBatchMs(), 3),
-         ConsoleTable::num(rw.avgBatchMs(), 3),
-         ConsoleTable::num(static_cast<double>(rw.total_wire_bytes) /
-                               static_cast<double>(std::max<std::int64_t>(
-                                   1, tw.total_wire_bytes)),
-                           2) +
-             "x"});
+    table.addRow({std::to_string(gpus), ConsoleTable::num(tw.avgBatchMs(), 3),
+                  ConsoleTable::num(rw.avgBatchMs(), 3),
+                  timesCell(static_cast<double>(rw.total_wire_bytes) /
+                            static_cast<double>(std::max<std::int64_t>(
+                                1, tw.total_wire_bytes)))});
   }
   printf("\n%s\n", table.render().c_str());
   printf("(row-wise balances skew but multiplies PGAS traffic by ~P "
@@ -154,7 +149,7 @@ int ablationBatch(CliParser& cli, int argc, char** argv) {
     table.addRow(
         {std::to_string(batch), ConsoleTable::num(base.avgBatchMs(), 3),
          ConsoleTable::num(treat.avgBatchMs(), 3),
-         ConsoleTable::num(base.avgBatchMs() / treat.avgBatchMs(), 2) + "x",
+         timesCell(base.avgBatchMs() / treat.avgBatchMs()),
          ConsoleTable::num(base.avgSyncUnpackMs() / base.avgBatchMs(),
                            2)});
   }
@@ -345,9 +340,7 @@ int skew(CliParser& cli, int argc, char** argv) {
     table.addRow({balanced ? "balanced (RecShard-style)" : "naive blocks",
                   ConsoleTable::num(base.avgBatchMs(), 3),
                   ConsoleTable::num(pgas.avgBatchMs(), 3),
-                  ConsoleTable::num(base.avgBatchMs() / pgas.avgBatchMs(),
-                                    2) +
-                      "x",
+                  timesCell(base.avgBatchMs() / pgas.avgBatchMs()),
                   ConsoleTable::num(max_rows / min_rows, 2)});
   }
   printf("\n%s\n", table.render().c_str());
@@ -396,7 +389,7 @@ int pipelined(CliParser& cli, int argc, char** argv) {
     if (is_pipelined) scheme += " d=" + std::to_string(depth);
     const double ms = run.result.avgBatchMs();
     table.addRow({scheme, ConsoleTable::num(ms, 3),
-                  ms > 0.0 ? ConsoleTable::num(ref_ms / ms, 2) + "x" : "-",
+                  ms > 0.0 ? timesCell(ref_ms / ms) : "-",
                   (is_pipelined ? std::to_string(depth) : "1") + "x"});
   }
   printf("\n%s\n", table.render().c_str());

@@ -20,6 +20,7 @@
 #include "trace/report.hpp"
 #include "util/cli.hpp"
 #include "util/expect.hpp"
+#include "util/table.hpp"
 
 namespace pgasemb::bench {
 
@@ -64,6 +65,17 @@ inline std::vector<std::string> splitList(const std::string& spec) {
   }
   if (!current.empty()) items.push_back(current);
   return items;
+}
+
+/// Parses a comma-separated flag value item by item with `parse`;
+/// `flag` needs at least one `what`.
+template <typename Parse>
+auto parseList(const std::string& spec, const char* flag, const char* what,
+               Parse parse) {
+  std::vector<decltype(parse(spec))> out;
+  for (const auto& item : splitList(spec)) out.push_back(parse(item));
+  PGASEMB_CHECK(!out.empty(), flag, " needs at least one ", what);
+  return out;
 }
 
 inline std::string registeredRetrieverNames() {
@@ -268,19 +280,31 @@ inline void applyInterNodeLink(engine::ExperimentConfig& cfg, int nodes) {
   cfg.inter_node_link.max_messages_per_sec = 10e6;
 }
 
-/// Prints one simsan verdict line per run (only when reports exist, so
-/// output without --simsan is unchanged).
-inline void printSimsanReports(const std::vector<trace::ScalingPoint>& pts) {
+/// Prints one simsan verdict line per run, prefixed by label(point)
+/// (only when reports exist, so output without --simsan is unchanged).
+template <typename Point, typename Label>
+void printSimsanReports(const std::vector<Point>& points, Label label) {
   bool any = false;
-  for (const auto& p : pts) {
+  for (const auto& p : points) {
     for (const auto& run : p.runs) {
       if (!run.result.sanitizer) continue;
       if (!any) printf("\nsimsan:\n");
       any = true;
-      printf("  %d GPU(s) %-16s %s\n", p.gpus, run.retriever.c_str(),
+      printf("  %s %-16s %s\n", label(p).c_str(), run.retriever.c_str(),
              run.result.sanitizer->report().c_str());
     }
   }
+}
+
+inline void printSimsanReports(const std::vector<trace::ScalingPoint>& pts) {
+  printSimsanReports(pts, [](const trace::ScalingPoint& p) {
+    return std::to_string(p.gpus) + " GPU(s)";
+  });
+}
+
+/// A "1.23x" table cell.
+inline std::string timesCell(double ratio, int digits = 2) {
+  return ConsoleTable::num(ratio, digits) + "x";
 }
 
 inline void printHeader(const std::string& title) {
@@ -289,25 +313,43 @@ inline void printHeader(const std::string& title) {
   printf("==========================================================\n");
 }
 
-/// Opens a --bench-json / --json record for writing.
-inline FILE* openJson(const std::string& path, const char* flag) {
-  FILE* out = fopen(path.c_str(), "w");
-  PGASEMB_CHECK(out != nullptr, flag, ": cannot open ", path);
-  return out;
-}
-
-/// Writes one `  "key": {"name": <emit(i)>, ...}` object of a JSON
-/// record; emit(i) prints the value for names[i].
-template <typename Emit>
-void writeJsonField(FILE* out, const char* key,
-                    const std::vector<std::string>& names, Emit emit) {
-  fprintf(out, "  \"%s\": {", key);
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    fprintf(out, "%s\"%s\": ", i == 0 ? "" : ", ", names[i].c_str());
-    emit(i);
+/// One flat perf record for scripts/check_perf.py: the constructor
+/// opens `path` (named by `flag` in errors) and writes the bench name,
+/// out() takes the bench's scalar lines, field() appends one object per
+/// metric, and close() ends the record and reports the path.
+class JsonRecord {
+ public:
+  JsonRecord(const std::string& path, const char* flag, const char* bench)
+      : path_(path), out_(fopen(path.c_str(), "w")) {
+    PGASEMB_CHECK(out_ != nullptr, flag, ": cannot open ", path);
+    fprintf(out_, "{\n  \"bench\": \"%s\",\n", bench);
   }
-  fprintf(out, "}");
-}
+
+  FILE* out() const { return out_; }
+
+  /// Appends `  "key": {"names[i]": values[i], ...}`, each value printed
+  /// with `fmt` (integral counts print exactly with "%.0f").
+  void field(const char* key, const std::vector<std::string>& names,
+             const char* fmt, const std::vector<double>& values) {
+    fprintf(out_, "%s  \"%s\": {", fields_++ == 0 ? "" : ",\n", key);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      fprintf(out_, "%s\"%s\": ", i == 0 ? "" : ", ", names[i].c_str());
+      fprintf(out_, fmt, values[i]);
+    }
+    fprintf(out_, "}");
+  }
+
+  void close() {
+    fprintf(out_, "\n}\n");
+    fclose(out_);
+    printf("wrote %s\n", path_.c_str());
+  }
+
+ private:
+  std::string path_;
+  FILE* out_;
+  int fields_ = 0;
+};
 
 inline double secondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -54,27 +54,24 @@ int aggregator(CliParser& cli, int argc, char** argv) {
     const auto r =
         engine::ScenarioRunner(make_cfg(true, kb * 1024, SimTime::us(50.0)))
             .run("pgas_fused");
-    table.addRow(
-        {std::to_string(kb) + " KiB", "50 us",
-         ConsoleTable::num(r.avgBatchMs(), 3),
-         ConsoleTable::num(raw.avgBatchMs() / r.avgBatchMs(), 2) + "x",
-         std::to_string(r.total_wire_messages),
-         ConsoleTable::num(static_cast<double>(raw.total_wire_messages) /
-                               static_cast<double>(std::max<std::int64_t>(
-                                   1, r.total_wire_messages)),
-                           0) +
-             "x"});
+    table.addRow({std::to_string(kb) + " KiB", "50 us",
+                  ConsoleTable::num(r.avgBatchMs(), 3),
+                  timesCell(raw.avgBatchMs() / r.avgBatchMs()),
+                  std::to_string(r.total_wire_messages),
+                  timesCell(static_cast<double>(raw.total_wire_messages) /
+                                static_cast<double>(std::max<std::int64_t>(
+                                    1, r.total_wire_messages)),
+                            0)});
   }
   // Max-wait sweep at a fixed 64 KiB aggregation size.
   for (const double wait_us : {5.0, 500.0}) {
     const auto r =
         engine::ScenarioRunner(make_cfg(true, 64 * 1024, SimTime::us(wait_us)))
             .run("pgas_fused");
-    table.addRow(
-        {"64 KiB", ConsoleTable::num(wait_us, 0) + " us",
-         ConsoleTable::num(r.avgBatchMs(), 3),
-         ConsoleTable::num(raw.avgBatchMs() / r.avgBatchMs(), 2) + "x",
-         std::to_string(r.total_wire_messages), "-"});
+    table.addRow({"64 KiB", ConsoleTable::num(wait_us, 0) + " us",
+                  ConsoleTable::num(r.avgBatchMs(), 3),
+                  timesCell(raw.avgBatchMs() / r.avgBatchMs()),
+                  std::to_string(r.total_wire_messages), "-"});
   }
   printf("\n%s\n", table.render().c_str());
   printf("(the paper's proposed change: sum.store(out[idx], pe) -> "
@@ -127,7 +124,7 @@ int backward(CliParser& cli, int argc, char** argv) {
     const double p_ms = pgas_t.toMs() / batches;
     table.addRow({std::to_string(gpus), ConsoleTable::num(c_ms, 3),
                   ConsoleTable::num(p_ms, 3),
-                  ConsoleTable::num(c_ms / p_ms, 2) + "x",
+                  timesCell(c_ms / p_ms),
                   std::to_string(gpus - 1)});
   }
   printf("\n%s\n", table.render().c_str());

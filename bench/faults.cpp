@@ -19,6 +19,7 @@
 // for the scripts/check_perf.py gate.
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "bench_common.hpp"
 #include "engine/serving_runner.hpp"
@@ -163,6 +164,16 @@ int faults(CliParser& cli, int argc, char** argv) {
     csv = std::make_unique<CsvWriter>(csv_path, csv_headers);
   }
 
+  // Appends the node-level counters to a table or CSV row (node mode).
+  const auto add_node_cells = [](std::vector<std::string>& row,
+                                 const fault::ResilienceStats& rs,
+                                 int digits) {
+    row.insert(row.end(), {std::to_string(rs.hier_fallbacks),
+                           ConsoleTable::num(rs.degraded_time.toMs(), digits),
+                           std::to_string(rs.leader_failovers),
+                           std::to_string(rs.staging_rebuilds)});
+  };
+
   // Tracked metrics, accumulated over the faulted severity levels.
   std::vector<double> recovery_ms(retrievers.size(), 0.0);
   std::vector<double> degraded_ms(retrievers.size(), 0.0);
@@ -175,11 +186,8 @@ int faults(CliParser& cli, int argc, char** argv) {
   SimTime horizon = SimTime::ms(10.0);
   double flap_start_ms = 1.0;
   double flap_width_ms = 2.0;
-  const auto severities =
-      node_mode ? std::vector<Severity>(std::begin(kNodeSeverities),
-                                        std::end(kNodeSeverities))
-                : std::vector<Severity>(std::begin(kSeverities),
-                                        std::end(kSeverities));
+  const std::span<const Severity> severities =
+      node_mode ? std::span<const Severity>(kNodeSeverities) : kSeverities;
   for (const Severity& sev : severities) {
     engine::ExperimentConfig cfg = engine::weakScalingConfig(gpus);
     if (node_mode) {
@@ -234,12 +242,7 @@ int faults(CliParser& cli, int argc, char** argv) {
           std::to_string(rs.collective_reissues),
           std::to_string(rs.launch_retries),
           ConsoleTable::num(rs.recovery_latency.toMs(), 3)};
-      if (node_mode) {
-        row.push_back(std::to_string(rs.hier_fallbacks));
-        row.push_back(ConsoleTable::num(rs.degraded_time.toMs(), 3));
-        row.push_back(std::to_string(rs.leader_failovers));
-        row.push_back(std::to_string(rs.staging_rebuilds));
-      }
+      if (node_mode) add_node_cells(row, rs, 3);
       table.addRow(row);
       if (csv) {
         std::vector<std::string> csv_row{
@@ -252,12 +255,7 @@ int faults(CliParser& cli, int argc, char** argv) {
             std::to_string(rs.launch_retries),
             std::to_string(rs.fallback_switches),
             ConsoleTable::num(rs.recovery_latency.toMs(), 4)};
-        if (node_mode) {
-          csv_row.push_back(std::to_string(rs.hier_fallbacks));
-          csv_row.push_back(ConsoleTable::num(rs.degraded_time.toMs(), 4));
-          csv_row.push_back(std::to_string(rs.leader_failovers));
-          csv_row.push_back(std::to_string(rs.staging_rebuilds));
-        }
+        if (node_mode) add_node_cells(csv_row, rs, 4);
         csv->addRow(csv_row);
       }
     }
@@ -286,34 +284,24 @@ int faults(CliParser& cli, int argc, char** argv) {
   // plus serving goodput under 2x-knee overload with shedding armed.
   const std::string bench_json = cli.getString("bench-json");
   if (!bench_json.empty()) {
-    std::vector<double> goodput(retrievers.size(), 0.0);
+    std::vector<double> degraded_fraction, goodput;
     for (std::size_t r = 0; r < retrievers.size(); ++r) {
-      goodput[r] = overloadGoodputQps(retrievers[r]);
+      degraded_fraction.push_back(faulted_total_ms[r] > 0.0
+                                      ? degraded_ms[r] / faulted_total_ms[r]
+                                      : 0.0);
+      goodput.push_back(overloadGoodputQps(retrievers[r]));
     }
-    FILE* out = openJson(bench_json, "--bench-json");
-    fprintf(out, "{\n  \"bench\": \"resilience\",\n");
-    fprintf(out, "  \"nodes\": %d,\n  \"gpus\": %d,\n  \"batches\": %d,\n",
+    JsonRecord rec(bench_json, "--bench-json", "resilience");
+    fprintf(rec.out(),
+            "  \"nodes\": %d,\n  \"gpus\": %d,\n  \"batches\": %d,\n",
             node_mode ? nodes : 1, gpus, batches);
-    fprintf(out, "  \"fault_seed\": %llu,\n",
+    fprintf(rec.out(), "  \"fault_seed\": %llu,\n",
             static_cast<unsigned long long>(seed));
-    writeJsonField(out, "resilience_recovery_ms", retrievers,
-                   [&](std::size_t r) {
-                     fprintf(out, "%.4f", recovery_ms[r]);
-                   });
-    fprintf(out, ",\n");
-    writeJsonField(
-        out, "resilience_degraded_fraction", retrievers, [&](std::size_t r) {
-          fprintf(out, "%.6f",
-                  faulted_total_ms[r] > 0.0
-                      ? degraded_ms[r] / faulted_total_ms[r]
-                      : 0.0);
-        });
-    fprintf(out, ",\n");
-    writeJsonField(out, "serving_goodput_qps", retrievers,
-                   [&](std::size_t r) { fprintf(out, "%.1f", goodput[r]); });
-    fprintf(out, "\n}\n");
-    fclose(out);
-    printf("wrote %s\n", bench_json.c_str());
+    rec.field("resilience_recovery_ms", retrievers, "%.4f", recovery_ms);
+    rec.field("resilience_degraded_fraction", retrievers, "%.6f",
+              degraded_fraction);
+    rec.field("serving_goodput_qps", retrievers, "%.1f", goodput);
+    rec.close();
   }
   return 0;
 }

@@ -23,17 +23,10 @@
 namespace pgasemb::bench {
 namespace {
 
-/// Comma-separated positive node counts ("1,2,4").
-std::vector<int> parseNodeList(const std::string& spec) {
-  std::vector<int> out;
-  for (const auto& item : splitList(spec)) {
-    const std::int64_t v = parseIntStrict(item, "--sweep-nodes");
-    PGASEMB_CHECK(v >= 1 && v <= INT_MAX,
-                  "--sweep-nodes: bad count '", item, "' (want positive ints)");
-    out.push_back(static_cast<int>(v));
-  }
-  PGASEMB_CHECK(!out.empty(), "--sweep-nodes needs at least one node count");
-  return out;
+/// Divisor for per-batch figures (1 for a run without batches).
+double batchesOf(const engine::ExperimentResult& result) {
+  return result.stats.batches > 0 ? static_cast<double>(result.stats.batches)
+                                  : 1.0;
 }
 
 /// One sweep cell: routing scheme x compression mode.
@@ -58,7 +51,14 @@ int runSweep(const CliParser& cli) {
   const int per_node = static_cast<int>(cli.getInt("gpus-per-node"));
   const int batches = static_cast<int>(cli.getInt("batches"));
   const double bound = cli.getDouble("bound");
-  const auto node_list = parseNodeList(cli.getString("sweep-nodes"));
+  const auto node_list = parseList(
+      cli.getString("sweep-nodes"), "--sweep-nodes", "node count",
+      [](const std::string& item) {
+        const std::int64_t v = parseIntStrict(item, "--sweep-nodes");
+        PGASEMB_CHECK(v >= 1 && v <= INT_MAX, "--sweep-nodes: bad count '",
+                      item, "' (want positive ints)");
+        return static_cast<int>(v);
+      });
   const auto retrievers = retrieverList(cli);
 
   const auto make_cfg = [&](int nodes, const SweepMode& mode) {
@@ -106,9 +106,7 @@ int runSweep(const CliParser& cli) {
                       "ms/batch", "inter MB/batch", "inter msgs/batch",
                       "ratio"});
   for (const auto& row : rows) {
-    const double b = row.result.stats.batches > 0
-                         ? static_cast<double>(row.result.stats.batches)
-                         : 1.0;
+    const double b = batchesOf(row.result);
     const auto& in = row.result.inter_node;
     table.addRow(
         {std::to_string(row.nodes), std::to_string(row.nodes * per_node),
@@ -119,9 +117,8 @@ int runSweep(const CliParser& cli) {
          in ? ConsoleTable::num(
                   static_cast<double>(in->inter_messages) / b, 0)
             : "-",
-         row.result.compression
-             ? ConsoleTable::num(row.result.compression->ratio(), 2) + "x"
-             : "-"});
+         row.result.compression ? timesCell(row.result.compression->ratio())
+                                : "-"});
   }
   printf("\n%s\n", table.render().c_str());
   printf("(inter MB/batch = wire-equivalent bytes crossing node "
@@ -175,9 +172,7 @@ int runSweep(const CliParser& cli) {
                    "inter_wire_bytes_per_batch", "inter_msgs_per_batch",
                    "compress_ratio", "max_abs_err", "mean_abs_err"});
     for (const auto& row : rows) {
-      const double b = row.result.stats.batches > 0
-                           ? static_cast<double>(row.result.stats.batches)
-                           : 1.0;
+      const double b = batchesOf(row.result);
       const auto& in = row.result.inter_node;
       const auto& cr = row.result.compression;
       out.addRow(
@@ -227,44 +222,32 @@ int runSweep(const CliParser& cli) {
                                     {"hier", "off", "hier"},
                                     {"hier", "fixed", "hier_comp"}};
     std::vector<std::string> keys;
-    std::vector<const Row*> tracked;
+    std::vector<double> ms, inter_bytes;
     for (const auto& retriever : retrievers) {
       for (const auto& t : kTracked) {
         for (const auto& row : rows) {
           if (row.nodes == max_nodes && row.retriever == retriever &&
               row.mode->routing == std::string(t.routing) &&
               row.mode->compression == std::string(t.compression)) {
+            const auto& in = row.result.inter_node;
             keys.push_back(retriever + "." + t.suffix);
-            tracked.push_back(&row);
+            ms.push_back(row.result.avgBatchMs());
+            inter_bytes.push_back(
+                in ? in->inter_wire_equivalent_bytes / batchesOf(row.result)
+                   : 0.0);
             break;
           }
         }
       }
     }
-    FILE* out = openJson(bench_json, "--bench-json");
-    fprintf(out, "{\n  \"bench\": \"multinode\",\n");
-    fprintf(out, "  \"gpus_per_node\": %d,\n  \"batches\": %d,\n", per_node,
-            batches);
-    fprintf(out, "  \"max_nodes\": %d,\n  \"bound\": %g,\n", max_nodes,
+    JsonRecord rec(bench_json, "--bench-json", "multinode");
+    fprintf(rec.out(), "  \"gpus_per_node\": %d,\n  \"batches\": %d,\n",
+            per_node, batches);
+    fprintf(rec.out(), "  \"max_nodes\": %d,\n  \"bound\": %g,\n", max_nodes,
             bound);
-    writeJsonField(out, "multinode_ms_per_batch", keys, [&](std::size_t i) {
-      fprintf(out, "%.4f", tracked[i]->result.avgBatchMs());
-    });
-    fprintf(out, ",\n");
-    writeJsonField(
-        out, "multinode_inter_bytes_per_batch", keys, [&](std::size_t i) {
-          const auto& result = tracked[i]->result;
-          const double b = result.stats.batches > 0
-                               ? static_cast<double>(result.stats.batches)
-                               : 1.0;
-          fprintf(out, "%.1f",
-                  result.inter_node
-                      ? result.inter_node->inter_wire_equivalent_bytes / b
-                      : 0.0);
-        });
-    fprintf(out, "\n}\n");
-    fclose(out);
-    printf("wrote %s\n", bench_json.c_str());
+    rec.field("multinode_ms_per_batch", keys, "%.4f", ms);
+    rec.field("multinode_inter_bytes_per_batch", keys, "%.1f", inter_bytes);
+    rec.close();
   }
   return 0;
 }
@@ -324,7 +307,7 @@ int multinode(CliParser& cli, int argc, char** argv) {
                   ConsoleTable::num(base.avgBatchMs(), 3),
                   ConsoleTable::num(pgas.avgBatchMs(), 3),
                   ConsoleTable::num(agg.avgBatchMs(), 3),
-                  ConsoleTable::num(base.avgBatchMs() / best, 2) + "x"});
+                  timesCell(base.avgBatchMs() / best)});
   }
   printf("\n%s\n", table.render().c_str());
   printf("(per-GPU workload constant; cross-node traffic rides shared "

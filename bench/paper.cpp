@@ -25,24 +25,16 @@
 namespace pgasemb::bench {
 namespace {
 
-/// `base` (the 1-GPU problem) on `gpus` GPUs: weak scaling grows the
-/// table count with the GPU count, strong scaling keeps it.
-engine::ExperimentConfig atGpus(const engine::ExperimentConfig& base,
-                                bool weak, int gpus) {
-  engine::ExperimentConfig cfg = base;
-  cfg.num_gpus = gpus;
-  if (weak) cfg.layer.total_tables = base.layer.total_tables * gpus;
-  return cfg;
-}
-
-/// Runs every named retriever at 1..max_gpus GPUs.
+/// Runs every named retriever at 1..max_gpus GPUs; configAt(gpus) is
+/// each point's config.
+template <typename ConfigAt>
 std::vector<trace::ScalingPoint> sweepScaling(
-    const engine::ExperimentConfig& base, bool weak, int max_gpus,
+    ConfigAt configAt, int max_gpus,
     const std::vector<std::string>& retrievers) {
   PGASEMB_CHECK(max_gpus >= 1, "--max-gpus must be >= 1");
   std::vector<trace::ScalingPoint> points;
   for (int gpus = 1; gpus <= max_gpus; ++gpus) {
-    engine::ScenarioRunner runner(atGpus(base, weak, gpus));
+    engine::ScenarioRunner runner(configAt(gpus));
     trace::ScalingPoint point;
     point.gpus = gpus;
     point.runs = runner.runAll(retrievers);
@@ -142,29 +134,22 @@ void writeThroughputJson(const std::string& path,
                          const engine::ExperimentConfig& cfg,
                          const std::vector<std::string>& retrievers) {
   engine::ScenarioRunner runner(cfg);
-  std::vector<TimedRun> runs;
-  for (const auto& name : retrievers) runs.push_back(timeRuns(runner, name));
-  FILE* out = openJson(path, "--bench-json");
-  fprintf(out, "{\n  \"bench\": \"weak_scaling\",\n");
-  fprintf(out, "  \"gpus\": %d,\n  \"batches\": %d,\n", cfg.num_gpus,
+  std::vector<double> wall_ms, rate, events;
+  for (const auto& name : retrievers) {
+    const TimedRun run = timeRuns(runner, name);
+    wall_ms.push_back(run.wall_ms_per_batch);
+    rate.push_back(run.events_per_sec);
+    events.push_back(static_cast<double>(run.events_processed));
+  }
+  JsonRecord rec(path, "--bench-json", "weak_scaling");
+  fprintf(rec.out(), "  \"gpus\": %d,\n  \"batches\": %d,\n", cfg.num_gpus,
           cfg.num_batches);
-  fprintf(out, "  \"coalesce\": %s,\n",
+  fprintf(rec.out(), "  \"coalesce\": %s,\n",
           cfg.coalesce_flows ? "true" : "false");
-  writeJsonField(out, "sim_wall_ms_per_batch", retrievers, [&](std::size_t r) {
-    fprintf(out, "%.4f", runs[r].wall_ms_per_batch);
-  });
-  fprintf(out, ",\n");
-  writeJsonField(out, "events_per_sec", retrievers, [&](std::size_t r) {
-    fprintf(out, "%.1f", runs[r].events_per_sec);
-  });
-  fprintf(out, ",\n");
-  writeJsonField(out, "events_processed", retrievers, [&](std::size_t r) {
-    fprintf(out, "%llu",
-            static_cast<unsigned long long>(runs[r].events_processed));
-  });
-  fprintf(out, "\n}\n");
-  fclose(out);
-  printf("wrote %s\n", path.c_str());
+  rec.field("sim_wall_ms_per_batch", retrievers, "%.4f", wall_ms);
+  rec.field("events_per_sec", retrievers, "%.1f", rate);
+  rec.field("events_processed", retrievers, "%.0f", events);
+  rec.close();
 }
 
 }  // namespace
@@ -201,18 +186,23 @@ int scalingSweep(CliParser& cli, int argc, char** argv) {
                      : "Strong scaling: 96 tables x 1M rows total, dim 64, "
                        "batch 16384, pooling U(1,32)");
   }
-  engine::ExperimentConfig base =
-      weak ? engine::weakScalingConfig(1) : engine::strongScalingConfig(1);
-  base.num_batches = static_cast<int>(cli.getInt("batches"));
-  applyCacheFlags(cli, base);
-  if (!breakdown) {
-    applySimsanFlags(cli, base);
-    applyFaultFlags(cli, base);
-    applyCoalesceFlag(cli, base);
-  }
+  // The scaling rule (weak: tables grow with the GPU count) is the
+  // config factories'; the flags apply on top at every point.
+  const auto configAt = [&](int gpus) {
+    engine::ExperimentConfig cfg = weak ? engine::weakScalingConfig(gpus)
+                                        : engine::strongScalingConfig(gpus);
+    cfg.num_batches = static_cast<int>(cli.getInt("batches"));
+    applyCacheFlags(cli, cfg);
+    if (!breakdown) {
+      applySimsanFlags(cli, cfg);
+      applyFaultFlags(cli, cfg);
+      applyCoalesceFlag(cli, cfg);
+    }
+    return cfg;
+  };
   const int max_gpus = static_cast<int>(cli.getInt("max-gpus"));
   const auto retrievers = retrieverList(cli);
-  const auto points = sweepScaling(base, weak, max_gpus, retrievers);
+  const auto points = sweepScaling(configAt, max_gpus, retrievers);
   if (breakdown) {
     printBreakdown(points, weak);
   } else {
@@ -225,8 +215,8 @@ int scalingSweep(CliParser& cli, int argc, char** argv) {
     printf("\nwrote %s\n", csv.c_str());
   }
   if (throughput_json && !cli.getString("bench-json").empty()) {
-    writeThroughputJson(cli.getString("bench-json"),
-                        atGpus(base, weak, max_gpus), retrievers);
+    writeThroughputJson(cli.getString("bench-json"), configAt(max_gpus),
+                        retrievers);
   }
   return 0;
 }

@@ -23,29 +23,6 @@
 namespace pgasemb::bench {
 namespace {
 
-/// Comma-separated positive rates ("500,1000,2000").
-std::vector<double> parseQpsList(const std::string& spec) {
-  std::vector<double> out;
-  for (const auto& item : splitList(spec)) {
-    const double v = parseDoubleStrict(item, "--qps-list");
-    PGASEMB_CHECK(v > 0.0, "--qps-list: bad rate '", item,
-                  "' (want positive numbers)");
-    out.push_back(v);
-  }
-  PGASEMB_CHECK(!out.empty(), "--qps-list needs at least one rate");
-  return out;
-}
-
-/// Comma-separated arrival patterns ("poisson,bursty").
-std::vector<engine::ArrivalPattern> parseArrivals(const std::string& spec) {
-  std::vector<engine::ArrivalPattern> out;
-  for (const auto& item : splitList(spec)) {
-    out.push_back(engine::parseArrivalPattern(item));
-  }
-  PGASEMB_CHECK(!out.empty(), "--arrivals needs at least one pattern");
-  return out;
-}
-
 /// The highest-load sweep point of one arrival pattern (nullptr if none).
 const trace::ServingPoint* topPoint(
     const std::vector<trace::ServingPoint>& points, const std::string& name) {
@@ -96,8 +73,16 @@ int serving(CliParser& cli, int argc, char** argv) {
 
   const int gpus = static_cast<int>(cli.getInt("gpus"));
   const std::int64_t max_batch = cli.getInt("max-batch");
-  const auto qps_list = parseQpsList(cli.getString("qps-list"));
-  const auto arrivals = parseArrivals(cli.getString("arrivals"));
+  const auto qps_list = parseList(
+      cli.getString("qps-list"), "--qps-list", "rate",
+      [](const std::string& item) {
+        const double v = parseDoubleStrict(item, "--qps-list");
+        PGASEMB_CHECK(v > 0.0, "--qps-list: bad rate '", item,
+                      "' (want positive numbers)");
+        return v;
+      });
+  const auto arrivals = parseList(cli.getString("arrivals"), "--arrivals",
+                                  "pattern", engine::parseArrivalPattern);
   const auto retrievers = retrieverList(cli);
   const double slo_ms = cli.getDouble("slo-ms");
 
@@ -184,16 +169,11 @@ int serving(CliParser& cli, int argc, char** argv) {
     }
   }
 
-  bool any_simsan = false;
-  for (const auto& p : points) {
-    for (const auto& run : p.runs) {
-      if (!run.result.sanitizer) continue;
-      if (!any_simsan) printf("\nsimsan:\n");
-      any_simsan = true;
-      printf("  %s %6.0f qps %-16s %s\n", p.arrival.c_str(), p.qps,
-             run.retriever.c_str(), run.result.sanitizer->report().c_str());
-    }
-  }
+  printSimsanReports(points, [](const trace::ServingPoint& p) {
+    char label[64];
+    snprintf(label, sizeof(label), "%s %6.0f qps", p.arrival.c_str(), p.qps);
+    return std::string(label);
+  });
 
   const std::string csv = cli.getString("csv");
   if (!csv.empty()) {
@@ -225,20 +205,14 @@ int serving(CliParser& cli, int argc, char** argv) {
         }
       }
     }
-    FILE* out = openJson(bench_json, "--bench-json");
-    fprintf(out, "{\n  \"bench\": \"serving\",\n");
-    fprintf(out, "  \"gpus\": %d,\n  \"queries\": %lld,\n", gpus,
+    JsonRecord rec(bench_json, "--bench-json", "serving");
+    fprintf(rec.out(), "  \"gpus\": %d,\n  \"queries\": %lld,\n", gpus,
             static_cast<long long>(cli.getInt("queries")));
-    fprintf(out, "  \"arrival\": \"%s\",\n  \"low_qps\": %.1f,\n",
+    fprintf(rec.out(), "  \"arrival\": \"%s\",\n  \"low_qps\": %.1f,\n",
             first_arrival.c_str(), low_qps);
-    writeJsonField(out, "serving_p99_ms", retrievers,
-                   [&](std::size_t r) { fprintf(out, "%.4f", p99_ms[r]); });
-    fprintf(out, ",\n");
-    writeJsonField(out, "max_sustainable_qps", retrievers,
-                   [&](std::size_t r) { fprintf(out, "%.1f", knee_qps[r]); });
-    fprintf(out, "\n}\n");
-    fclose(out);
-    printf("wrote %s\n", bench_json.c_str());
+    rec.field("serving_p99_ms", retrievers, "%.4f", p99_ms);
+    rec.field("max_sustainable_qps", retrievers, "%.1f", knee_qps);
+    rec.close();
   }
   return 0;
 }

@@ -137,25 +137,20 @@ int simcore(CliParser& cli, int argc, char** argv) {
 
   const std::string json = cli.getString("json");
   if (!json.empty()) {
-    FILE* out = openJson(json, "--json");
-    fprintf(out, "{\n  \"bench\": \"simcore\",\n");
-    fprintf(out, "  \"gpus\": %d,\n  \"batches\": %d,\n", gpus, batches);
-    fprintf(out,
-            "  \"sim_wall_ms_per_batch\": {\"pgas_coalesced\": %.4f, "
-            "\"pgas_per_message\": %.4f},\n",
-            co.wall_ms_per_batch, per.wall_ms_per_batch);
-    fprintf(out,
-            "  \"events_per_sec\": {\"push_pop\": %.1f, "
-            "\"schedule_batch\": %.1f, \"pgas_coalesced\": %.1f, "
-            "\"pgas_per_message\": %.1f},\n",
-            push_pop, batched, co.events_per_sec, per.events_per_sec);
-    fprintf(out,
-            "  \"events_processed\": {\"pgas_coalesced\": %llu, "
-            "\"pgas_per_message\": %llu}\n}\n",
-            static_cast<unsigned long long>(co.events_processed),
-            static_cast<unsigned long long>(per.events_processed));
-    fclose(out);
-    printf("wrote %s\n", json.c_str());
+    const std::vector<std::string> flows{"pgas_coalesced", "pgas_per_message"};
+    JsonRecord rec(json, "--json", "simcore");
+    fprintf(rec.out(), "  \"gpus\": %d,\n  \"batches\": %d,\n", gpus, batches);
+    rec.field("sim_wall_ms_per_batch", flows, "%.4f",
+              {co.wall_ms_per_batch, per.wall_ms_per_batch});
+    rec.field("events_per_sec",
+              {"push_pop", "schedule_batch", "pgas_coalesced",
+               "pgas_per_message"},
+              "%.1f",
+              {push_pop, batched, co.events_per_sec, per.events_per_sec});
+    rec.field("events_processed", flows, "%.0f",
+              {static_cast<double>(co.events_processed),
+               static_cast<double>(per.events_processed)});
+    rec.close();
   }
   return 0;
 }

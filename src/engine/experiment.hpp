@@ -175,9 +175,9 @@ struct ExperimentConfig {
   /// every closed-loop code path untouched.
   ServingConfig serving;
 
-  /// Cross-field validation shared by benches (at flag-parse time) and
-  /// runners (before a run). Throws InvalidArgumentError with a pointed
-  /// message on the first violation.
+  /// Cross-field validation, run by SystemBuilder before it allocates
+  /// anything. Throws InvalidArgumentError with a pointed message on the
+  /// first violation.
   void validate() const;
 };
 

@@ -35,8 +35,6 @@ ScenarioRunner::ScenarioRunner(const ExperimentConfig& config)
 
 ExperimentResult ScenarioRunner::run(const std::string& retriever_name) {
   const ExperimentConfig& config = builder_.config();
-  config.validate();
-
   builder_.reset();
   BatchExecutor exec(builder_, retriever_name,
                      BatchExecutor::SloMode::kPerBatch);

@@ -19,8 +19,6 @@ ExperimentResult ServingRunner::run(const std::string& retriever_name) {
   const ExperimentConfig& config = builder_.config();
   PGASEMB_CHECK(config.serving.enabled(),
                 "ServingRunner needs serving.num_queries > 0");
-  config.validate();
-
   builder_.reset();
   BatchExecutor exec(builder_, retriever_name,
                      BatchExecutor::SloMode::kPerQuery);

@@ -46,6 +46,10 @@ void SystemBuilder::reset() {
 }
 
 void SystemBuilder::build() {
+  // Before anything is allocated: a config no system can hold (say, a
+  // replica cache larger than device memory) is a usage error, not an
+  // out-of-memory abort halfway through the assembly.
+  config_.validate();
   if (config_.simsan || config_.simsan_strict) {
     sanitizer_ = std::make_unique<simsan::Checker>();
   }
