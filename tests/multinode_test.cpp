@@ -197,6 +197,113 @@ TEST(MultiNodeGoldenTest, DefaultsMatchPreHierarchicalTotals) {
   }
 }
 
+TEST(MultiNodeGoldenTest, HierarchyCodecAndNodeFaultsMatchPinnedTotals) {
+  // 2 nodes x 2 GPUs with every inter-node mechanism armed at once:
+  // hierarchical staging, the adaptive codec, a leader failover on
+  // node 1 and NIC flaps on both nodes (pinned windows, so the schedule
+  // is explicit). Exact values (times in ps) recorded before the inter-node
+  // transport refactor: any drift means the inter-node path changed
+  // behavior.
+  struct Golden {
+    const char* retriever;
+    std::int64_t total_ps;
+    std::int64_t wire_bytes;
+    std::int64_t wire_messages;
+    InterNodeTraffic traffic;
+    std::int64_t codec_raw_bytes;
+    std::int64_t codec_wire_bytes;
+    fault::ResilienceStats resilience;
+  };
+  const auto resilience = [](std::int64_t faults, std::int64_t dropped,
+                             std::int64_t dropped_bytes,
+                             std::int64_t retransmits,
+                             std::int64_t retransmitted_bytes,
+                             std::int64_t reissues, std::int64_t recovery_ps,
+                             std::int64_t hier_fallbacks,
+                             std::int64_t degraded_ps,
+                             std::int64_t failovers, std::int64_t rebuilds) {
+    fault::ResilienceStats s;
+    s.faults_injected = faults;
+    s.dropped_flows = dropped;
+    s.dropped_bytes = dropped_bytes;
+    s.retransmits = retransmits;
+    s.retransmitted_bytes = retransmitted_bytes;
+    s.collective_reissues = reissues;
+    s.recovery_latency = SimTime(recovery_ps);
+    s.hier_fallbacks = hier_fallbacks;
+    s.degraded_time = SimTime(degraded_ps);
+    s.leader_failovers = failovers;
+    s.staging_rebuilds = rebuilds;
+    return s;
+  };
+  const Golden golden[] = {
+      {"pgas_fused", 2557900872, 90959856, 296318,
+       {39903168, 38136, 119358912.0, 70975488, 277248, 79847424.0},
+       45809664, 15331248,
+       resilience(11, 8, 131136, 8, 131136, 0, 1494280177, 138,
+                  177398898455, 1, 0)},
+      {"nccl_collective", 7957009042, 85852280, 39,
+       {52166880, 36, 139938738.10000002, 58720256, 20,
+        335547976.51199996},
+       50331648, 23986272,
+       resilience(6, 3, 3145752, 0, 3145752, 3, 1218454855, 4, 5482949476,
+                  1, 1)},
+  };
+  ExperimentConfig cfg = sweepConfig(2, 2);
+  cfg.num_batches = 3;
+  cfg.hierarchical_a2a = true;
+  cfg.compress_bound = 1e-2;
+  cfg.compress_adaptive = true;
+  // The first flap lands inside the PGAS run, the second inside the
+  // collective's second exchange (degraded pairs + reissues).
+  cfg.faults = fault::FaultPlan::parse(
+      "leader-fail:1:0.0-1000.0,nic-flap:0:0.3-0.9,nic-flap:1:2.8-3.4", 7);
+  for (const auto& g : golden) {
+    const ExperimentResult r = ScenarioRunner(cfg).run(g.retriever);
+    EXPECT_EQ(r.stats.total.count(), g.total_ps) << g.retriever;
+    EXPECT_EQ(r.total_wire_bytes, g.wire_bytes) << g.retriever;
+    EXPECT_EQ(r.total_wire_messages, g.wire_messages) << g.retriever;
+    ASSERT_TRUE(r.inter_node.has_value()) << g.retriever;
+    const auto& t = *r.inter_node;
+    EXPECT_EQ(t.inter_payload_bytes, g.traffic.inter_payload_bytes)
+        << g.retriever;
+    EXPECT_EQ(t.inter_messages, g.traffic.inter_messages) << g.retriever;
+    EXPECT_EQ(t.inter_wire_equivalent_bytes,
+              g.traffic.inter_wire_equivalent_bytes)
+        << g.retriever;
+    EXPECT_EQ(t.intra_payload_bytes, g.traffic.intra_payload_bytes)
+        << g.retriever;
+    EXPECT_EQ(t.intra_messages, g.traffic.intra_messages) << g.retriever;
+    EXPECT_EQ(t.intra_wire_equivalent_bytes,
+              g.traffic.intra_wire_equivalent_bytes)
+        << g.retriever;
+    ASSERT_TRUE(r.compression.has_value()) << g.retriever;
+    EXPECT_EQ(r.compression->raw_bytes, g.codec_raw_bytes) << g.retriever;
+    EXPECT_EQ(r.compression->wire_bytes, g.codec_wire_bytes) << g.retriever;
+    ASSERT_TRUE(r.resilience.has_value()) << g.retriever;
+    const auto& rs = *r.resilience;
+    const auto& want = g.resilience;
+    EXPECT_EQ(rs.faults_injected, want.faults_injected) << g.retriever;
+    EXPECT_EQ(rs.dropped_flows, want.dropped_flows) << g.retriever;
+    EXPECT_EQ(rs.dropped_bytes, want.dropped_bytes) << g.retriever;
+    EXPECT_EQ(rs.retransmits, want.retransmits) << g.retriever;
+    EXPECT_EQ(rs.retransmitted_bytes, want.retransmitted_bytes)
+        << g.retriever;
+    EXPECT_EQ(rs.collective_reissues, want.collective_reissues)
+        << g.retriever;
+    EXPECT_EQ(rs.launch_retries, 0) << g.retriever;
+    EXPECT_EQ(rs.recovery_latency.count(), want.recovery_latency.count())
+        << g.retriever;
+    EXPECT_EQ(rs.fallback_switches, 0) << g.retriever;
+    EXPECT_EQ(rs.fallback_retriever, "") << g.retriever;
+    EXPECT_EQ(rs.hier_fallbacks, want.hier_fallbacks) << g.retriever;
+    EXPECT_EQ(rs.degraded_time.count(), want.degraded_time.count())
+        << g.retriever;
+    EXPECT_EQ(rs.leader_failovers, want.leader_failovers) << g.retriever;
+    EXPECT_EQ(rs.staging_rebuilds, want.staging_rebuilds) << g.retriever;
+  }
+}
+
 TEST(MultiNodeGoldenTest, SingleNodeReportsNoInterNodeSection) {
   ExperimentConfig cfg = weakScalingConfig(2);
   cfg.num_batches = 2;
