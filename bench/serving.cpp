@@ -33,13 +33,6 @@ const trace::ServingPoint* topPoint(
   return top;
 }
 
-/// The knee rule shared with trace::renderServingSummary: the largest
-/// offered QPS whose point kept up (and met the tail SLO when set).
-bool sustained(const engine::ServingResult& sv, double slo_ms) {
-  if (sv.achieved_qps < 0.95 * sv.offered_qps) return false;
-  return slo_ms <= 0.0 || sv.p99_ms <= slo_ms;
-}
-
 }  // namespace
 
 int serving(CliParser& cli, int argc, char** argv) {
@@ -200,7 +193,7 @@ int serving(CliParser& cli, int argc, char** argv) {
         if (run == nullptr || !run->result.serving) continue;
         const auto& sv = *run->result.serving;
         if (p.qps == low_qps) p99_ms[r] = sv.p99_ms;
-        if (sustained(sv, slo_ms) && p.qps > knee_qps[r]) {
+        if (sv.sustains(slo_ms) && p.qps > knee_qps[r]) {
           knee_qps[r] = p.qps;
         }
       }

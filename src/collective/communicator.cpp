@@ -2,76 +2,50 @@
 
 #include <algorithm>
 
-#include "fault/injector.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::collective {
 
 Communicator::Communicator(gpu::MultiGpuSystem& system,
-                           fabric::Fabric& fabric)
-    : system_(system), fabric_(fabric) {
-  PGASEMB_CHECK(fabric.numGpus() >= system.numGpus(),
+                           fault::Transport transport,
+                           HierarchicalParams hier)
+    : system_(system), transport_(transport), hier_(std::move(hier)) {
+  PGASEMB_CHECK(transport.fabric().numGpus() >= system.numGpus(),
                 "fabric topology smaller than the GPU system");
 }
 
-fabric::Fabric::Delivery Communicator::xfer(int src, int dst,
-                                            std::int64_t payload_bytes,
-                                            std::int64_t n_messages,
-                                            SimTime at) {
-  if (strict_active_ != nullptr) {
-    strict_active_->transfer(src, dst, payload_bytes);
-  }
-  std::int64_t wire_bytes = payload_bytes;
-  auto& topo = fabric_.topology();
-  // Only fp32 payloads compress; control messages (e.g. barrier flags)
-  // pass through.
-  if (hier_.codec != nullptr && payload_bytes > 0 && payload_bytes % 4 == 0 &&
-      topo.routeClass(src, dst) == fabric::LinkClass::kInter) {
-    const int src_node = topo.nodeOf(src);
-    const int bits = hier_.codec->aggregateBits(src_node, at);
-    wire_bytes = fabric::InterNodeCodec::compressedBytes(payload_bytes, bits);
-    hier_.codec->recordFlow(payload_bytes, wire_bytes);
-    hier_.codec->recordEgress(src_node, at, wire_bytes);
-  }
-  if (injector_ != nullptr) {
-    return injector_->reliableCollective(src, dst, wire_bytes, n_messages,
-                                         at, protoEff());
-  }
-  return fabric_.transfer(src, dst, wire_bytes, n_messages, at, nullptr,
-                          protoEff());
-}
-
-fabric::Fabric::Delivery Communicator::hierXfer(int src, int dst,
-                                                std::int64_t payload_bytes,
-                                                std::int64_t n_messages,
-                                                SimTime at,
-                                                double bandwidth_fraction) {
-  if (injector_ != nullptr) {
-    return injector_->reliableCollective(src, dst, payload_bytes, n_messages,
-                                         at, bandwidth_fraction);
-  }
-  return fabric_.transfer(src, dst, payload_bytes, n_messages, at, nullptr,
-                          bandwidth_fraction);
+SimTime Communicator::sendLogical(int src, int dst, std::int64_t bytes,
+                                  SimTime at) {
+  if (strict_active_ != nullptr) strict_active_->transfer(src, dst, bytes);
+  return transport_
+      .send(fault::Transport::Traffic::kCollective, src, dst,
+            transport_.encode(src, dst, bytes, at), /*n_messages=*/1, at,
+            protoEff())
+      .acked;
 }
 
 SimTime Communicator::sendChunked(int from, int to, std::int64_t bytes,
                                   SimTime& inject_at,
-                                  const ChunkingParams& chunking,
-                                  SimTime chunk_overhead,
-                                  double bandwidth_fraction) {
+                                  const ChunkingParams& chunking, Leg leg) {
+  const SimTime chunk_overhead =
+      system_.costModel().collective_chunk_overhead;
   SimTime done = inject_at;
-  std::int64_t remaining = bytes;
-  while (remaining > 0) {
+  for (std::int64_t remaining = bytes; remaining > 0;) {
     const std::int64_t chunk = std::min(remaining, chunking.chunk_bytes);
     inject_at += chunk_overhead;  // proxy progression per chunk
-    const auto d = hierXfer(from, to, chunk, /*n_messages=*/1, inject_at,
-                            bandwidth_fraction);
-    done = std::max(done, d.delivered);
+    const SimTime delivered =
+        leg == Leg::kLogical
+            ? sendLogical(from, to, chunk, inject_at)
+            : transport_
+                  .send(fault::Transport::Traffic::kCollective, from, to,
+                        chunk, /*n_messages=*/1, inject_at,
+                        leg == Leg::kBulk ? 1.0 : protoEff())
+                  .acked;
+    done = std::max(done, delivered);
     remaining -= chunk;
   }
   return done;
 }
-
 
 Request Communicator::launch(
     const std::string& label,
@@ -201,7 +175,7 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
       hier_.staging.empty()) {
     return;
   }
-  auto& topo = fabric_.topology();
+  auto& topo = transport_.fabric().topology();
   const int nodes = topo.numNodes();
   const auto actor_of = [&](int gpu) {
     return state.actors[static_cast<std::size_t>(gpu)];
@@ -280,10 +254,12 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
   // Each destination rank scatters out of the recv slot its source node
   // filled; the acquire mirrors the inter-flow-delivered dependency the
   // timing model enforces (dropped by the seeded bug).
+  const bool synced =
+      !san->seeded(simsan::SeededBug::kScatterBeforeInterflow);
   for (const auto& s : state.hier_scatters) {
     const simsan::ActorId dst_actor = actor_of(s.dst);
     const int dst_node = topo.nodeOf(s.dst);
-    if (s.synced) san->acquire(dst_actor, ikey(s.src_node, dst_node));
+    if (synced) san->acquire(dst_actor, ikey(s.src_node, dst_node));
     const auto& stg = staging_of(dst_node);
     san->access(dst_actor, stg.device,
                 stg.recv_slots[static_cast<std::size_t>(s.src_node)],
@@ -295,9 +271,9 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
 SimTime Communicator::hierarchicalInject(
     int src, SimTime start,
     const std::vector<std::vector<std::int64_t>>& matrix,
-    const ChunkingParams& chunking, SimTime chunk_overhead,
-    const HierRouting& routing, detail::CollectiveState& state) {
-  auto& topo = fabric_.topology();
+    const ChunkingParams& chunking, const HierRouting& routing,
+    detail::CollectiveState& state) {
+  auto& topo = transport_.fabric().topology();
   const int n = system_.numGpus();
   const int nodes = topo.numNodes();
   const int my_node = topo.nodeOf(src);
@@ -321,26 +297,21 @@ SimTime Communicator::hierarchicalInject(
 
   SimTime last = start;
   SimTime inject_at = start;
-  // Intra-node destinations keep the flat chunked path (xfer also
-  // charges the strict tracker, intra logical == physical).
+  // Intra-node destinations keep the flat chunked path (logical chunks
+  // also charge the strict tracker, intra logical == physical).
   for (int dst = 0; dst < n; ++dst) {
     if (dst == src || topo.nodeOf(dst) != my_node) continue;
-    std::int64_t remaining = row(src)[static_cast<std::size_t>(dst)];
     SimTime at = start;
-    while (remaining > 0) {
-      const std::int64_t chunk = std::min(remaining, chunking.chunk_bytes);
-      at += chunk_overhead;
-      const auto d = xfer(src, dst, chunk, /*n_messages=*/1, at);
-      last = std::max(last, d.delivered);
-      remaining -= chunk;
-    }
+    last = std::max(last, sendChunked(src, dst,
+                                      row(src)[static_cast<std::size_t>(dst)],
+                                      at, chunking, Leg::kLogical));
     inject_at = std::max(inject_at, at);
   }
   // Per-pair degraded mode (DESIGN.md §13): node pairs inside a NIC
   // fault window skip the leader staging — a dropped aggregate would
   // couple the whole node into one retransmit domain — and ship their
-  // flows flat, per destination GPU (xfer reissues dropped chunks,
-  // charges the strict tracker and compresses inter-node chunks). Every
+  // flows flat, per destination GPU (logical chunks: reissued when
+  // dropped, charged to the strict tracker, encoded across nodes). Every
   // healthy pair below keeps the hierarchy.
   for (int dst_node = 0; dst_node < nodes; ++dst_node) {
     if (dst_node == my_node || !degraded(dst_node)) continue;
@@ -348,26 +319,20 @@ SimTime Communicator::hierarchicalInject(
     SimTime fallback_last = start;
     bool any = false;
     for (int dst = base_d; dst < base_d + topo.gpusPerNode(); ++dst) {
-      std::int64_t remaining = row(src)[static_cast<std::size_t>(dst)];
+      const std::int64_t bytes = row(src)[static_cast<std::size_t>(dst)];
       SimTime at = start;
-      while (remaining > 0) {
-        const std::int64_t chunk = std::min(remaining, chunking.chunk_bytes);
-        at += chunk_overhead;
-        const auto d = xfer(src, dst, chunk, /*n_messages=*/1, at);
-        fallback_last = std::max(fallback_last, d.delivered);
-        remaining -= chunk;
-        any = true;
-      }
+      fallback_last = std::max(
+          fallback_last, sendChunked(src, dst, bytes, at, chunking,
+                                     Leg::kLogical));
+      any = any || bytes > 0;
     }
     last = std::max(last, fallback_last);
-    if (any && injector_ != nullptr) {
-      injector_->recordHierFallback(start, fallback_last);
-    }
+    if (any) transport_.recordFallback(start, fallback_last);
   }
   // Strict-effects accounting is logical: each (src, dst) pair is
   // charged its original payload exactly once, regardless of the 3-hop
   // physical route (forwarded hops would overdraw the leader's budget).
-  // Degraded pairs were already charged per chunk by xfer above.
+  // Degraded pairs were already charged per chunk above.
   if (strict_active_ != nullptr) {
     for (int dst = 0; dst < n; ++dst) {
       if (topo.nodeOf(dst) == my_node || degraded(topo.nodeOf(dst))) continue;
@@ -390,7 +355,7 @@ SimTime Communicator::hierarchicalInject(
     if (to_node > 0 && src != my_leader) {
       if (!gathered) gather_first = inject_at;
       delivered = sendChunked(src, my_leader, to_node, inject_at, chunking,
-                              chunk_overhead, protoEff());
+                              Leg::kHop);
       gather_last = std::max(gather_last, delivered);
       gathered = true;
     }
@@ -402,8 +367,7 @@ SimTime Communicator::hierarchicalInject(
     last = std::max(last, delivered);
     if (pair.contributions == topo.gpusPerNode() && pair.raw_bytes > 0) {
       last = std::max(last, injectInterAndScatter(my_node, dst_node, pair,
-                                                  matrix, chunking,
-                                                  chunk_overhead, routing,
+                                                  matrix, chunking, routing,
                                                   state));
     }
   }
@@ -421,39 +385,35 @@ SimTime Communicator::hierarchicalInject(
 SimTime Communicator::injectInterAndScatter(
     int src_node, int dst_node, const detail::HierPair& pair,
     const std::vector<std::vector<std::int64_t>>& matrix,
-    const ChunkingParams& chunking, SimTime chunk_overhead,
-    const HierRouting& routing, detail::CollectiveState& state) {
-  auto& topo = fabric_.topology();
+    const ChunkingParams& chunking, const HierRouting& routing,
+    detail::CollectiveState& state) {
+  auto& topo = transport_.fabric().topology();
+  auto* san = system_.sanitizer();
   // Elected leaders run the staging endpoints; the topology defaults
   // stay the iteration bases (node membership is fixed by layout).
   const int leader_s = routing.leaders[static_cast<std::size_t>(src_node)];
   const int leader_d = routing.leaders[static_cast<std::size_t>(dst_node)];
   const int base_s = topo.nodeLeader(src_node);
   const int base_d = topo.nodeLeader(dst_node);
-  const bool log = system_.sanitizer() != nullptr && !state.actors.empty();
-  // Compress the aggregated payload for the wire (the staged buffer is
+  const bool log = san != nullptr && !state.actors.empty();
+  // Encode the aggregated payload for the wire (the staged buffer is
   // contiguous, so the codec sees one flow per node pair).
-  std::int64_t wire_bytes = pair.raw_bytes;
-  if (hier_.codec != nullptr) {
-    const int bits = hier_.codec->aggregateBits(src_node, pair.ready);
-    wire_bytes =
-        fabric::InterNodeCodec::compressedBytes(pair.raw_bytes, bits);
-    hier_.codec->recordFlow(pair.raw_bytes, wire_bytes);
-    hier_.codec->recordEgress(src_node, pair.ready, wire_bytes);
-  }
+  const std::int64_t wire_bytes =
+      transport_.encode(leader_s, leader_d, pair.raw_bytes, pair.ready);
   // The aggregated flow is a one-sided bulk RDMA out of a pre-staged
   // contiguous buffer: no per-peer protocol staging, so it rides the NIC
   // at full fraction (contrast protoEff() on the flat path).
   SimTime inject_at = pair.ready;
   const SimTime inter_done =
       sendChunked(leader_s, leader_d, wire_bytes, inject_at, chunking,
-                  chunk_overhead, /*bandwidth_fraction=*/1.0);
+                  Leg::kBulk);
   if (log) {
     state.hier_inters.push_back({src_node, dst_node, pair.ready, inter_done});
   }
   // Destination-side scatter over NVLink. The seeded bug fires the
   // scatter when the inter flow is injected instead of delivered.
-  const bool buggy = hier_.bug_scatter_before_interflow;
+  const bool buggy =
+      san != nullptr && san->seeded(simsan::SeededBug::kScatterBeforeInterflow);
   const SimTime scatter_start = buggy ? pair.ready : inter_done;
   SimTime last = inter_done;
   for (int dst = base_d; dst < base_d + topo.gpusPerNode(); ++dst) {
@@ -466,35 +426,29 @@ SimTime Communicator::injectInterAndScatter(
     SimTime done = scatter_start;
     if (dst != leader_d) {
       SimTime at = scatter_start;
-      done = sendChunked(leader_d, dst, bytes, at, chunking, chunk_overhead,
-                         protoEff());
+      done = sendChunked(leader_d, dst, bytes, at, chunking, Leg::kHop);
     }
     last = std::max(last, done);
     if (log) {
-      state.hier_scatters.push_back({dst, src_node, scatter_start, done,
-                                     !buggy});
+      state.hier_scatters.push_back({dst, src_node, scatter_start, done});
     }
   }
   return last;
 }
 
 Communicator::HierRouting Communicator::computeHierRouting(SimTime at) {
-  auto& topo = fabric_.topology();
-  const int nodes = topo.numNodes();
+  const int nodes = transport_.fabric().topology().numNodes();
   HierRouting routing;
   routing.leaders.resize(static_cast<std::size_t>(nodes));
   routing.degraded.assign(static_cast<std::size_t>(nodes) * nodes, 0);
   for (int node = 0; node < nodes; ++node) {
     routing.leaders[static_cast<std::size_t>(node)] =
-        injector_ != nullptr ? injector_->leaderAt(node, at)
-                             : topo.nodeLeader(node);
+        transport_.leaderAt(node, at);
   }
-  if (injector_ != nullptr) {
-    for (int s = 0; s < nodes; ++s) {
-      for (int d = 0; d < nodes; ++d) {
-        if (s != d && injector_->pairDegraded(s, d, at)) {
-          routing.degraded[static_cast<std::size_t>(s) * nodes + d] = 1;
-        }
+  for (int s = 0; s < nodes; ++s) {
+    for (int d = 0; d < nodes; ++d) {
+      if (s != d && transport_.pairDegraded(s, d, at)) {
+        routing.degraded[static_cast<std::size_t>(s) * nodes + d] = 1;
       }
     }
   }
@@ -502,17 +456,18 @@ Communicator::HierRouting Communicator::computeHierRouting(SimTime at) {
 }
 
 void Communicator::maybeRebuildStaging(SimTime at) {
-  if (injector_ == nullptr || hier_.standby_staging.empty()) return;
-  const auto* domains = injector_->domains();
+  auto* injector = transport_.injector();
+  if (injector == nullptr || hier_.standby_staging.empty()) return;
+  const auto* domains = injector->domains();
   if (domains == nullptr || !domains->anyNodeScoped()) return;
-  auto& topo = fabric_.topology();
+  auto& topo = transport_.fabric().topology();
   const int nodes = topo.numNodes();
   if (rebuild_sync_.empty()) {
     rebuild_sync_.resize(static_cast<std::size_t>(nodes));
   }
   auto* san = system_.sanitizer();
   for (int node = 0; node < nodes; ++node) {
-    const int elected = injector_->leaderAt(node, at);
+    const int elected = transport_.leaderAt(node, at);
     if (elected == topo.nodeLeader(node)) continue;
     if (static_cast<std::size_t>(node) >= hier_.standby_staging.size() ||
         hier_.standby_staging[static_cast<std::size_t>(node)].device < 0) {
@@ -524,9 +479,10 @@ void Communicator::maybeRebuildStaging(SimTime at) {
       continue;
     }
     rebuilt_.push_back(key);
-    injector_->recordStagingRebuild();
+    injector->recordStagingRebuild();
     const auto& stg = hier_.standby_staging[static_cast<std::size_t>(node)];
-    if (hier_.bug_rebuild_without_requiet && san != nullptr) {
+    if (san != nullptr &&
+        san->seeded(simsan::SeededBug::kRebuildWithoutRequiet)) {
       // Seeded bug: the rebuild's staging writes run under a forked,
       // never-joined rogue actor and the node-wide re-quiet (the release
       // the members' gathers acquire) is skipped — every later access to
@@ -584,84 +540,37 @@ Request Communicator::allToAllSingle(
   }
   PGASEMB_CHECK(chunking.chunk_bytes > 0, "chunk size must be positive");
 
-  const SimTime chunk_overhead =
-      system_.costModel().collective_chunk_overhead;
   auto matrix = send_bytes;  // keep alive in the closure
   // Routing is decided once per collective, at launch (host) time: all
   // members must agree on the elected leaders and the degraded pairs or
   // the per-pair contribution counting falls apart mid-collective.
   std::shared_ptr<HierRouting> routing;
-  if (hierActive()) {
+  if (transport_.hierarchical()) {
     maybeRebuildStaging(system_.hostNow());
     routing = std::make_shared<HierRouting>(
         computeHierRouting(system_.hostNow()));
   }
   return launch(
       "all_to_all_single",
-      [this, matrix, chunk_overhead, chunking, routing](
-          int src, SimTime start, detail::CollectiveState& state) {
-        if (hierActive() && routing != nullptr) {
-          return hierarchicalInject(src, start, matrix, chunking,
-                                    chunk_overhead, *routing, state);
+      [this, matrix, chunking, routing](int src, SimTime start,
+                                        detail::CollectiveState& state) {
+        if (routing != nullptr) {
+          return hierarchicalInject(src, start, matrix, chunking, *routing,
+                                    state);
         }
         SimTime last = start;
         for (int dst = 0; dst < system_.numGpus(); ++dst) {
           if (dst == src) continue;
-          std::int64_t remaining =
-              matrix[static_cast<std::size_t>(src)]
-                    [static_cast<std::size_t>(dst)];
           SimTime inject_at = start;
-          while (remaining > 0) {
-            const std::int64_t chunk =
-                std::min(remaining, chunking.chunk_bytes);
-            inject_at += chunk_overhead;  // proxy progression per chunk
-            const auto d = xfer(src, dst, chunk, /*n_messages=*/1, inject_at);
-            last = std::max(last, d.delivered);
-            remaining -= chunk;
-          }
+          last = std::max(
+              last, sendChunked(src, dst,
+                                matrix[static_cast<std::size_t>(src)]
+                                      [static_cast<std::size_t>(dst)],
+                                inject_at, chunking, Leg::kLogical));
         }
         return last;
       },
       std::move(on_complete), streams, memory);
-}
-
-Request Communicator::allGather(std::int64_t bytes_per_rank,
-                                std::function<void()> on_complete) {
-  PGASEMB_CHECK(bytes_per_rank >= 0, "negative all-gather size");
-  const int n = system_.numGpus();
-  // Ring: p-1 steps; in each step every rank forwards one rank's block to
-  // its successor. Steps on a rank chain on their own deliveries.
-  return launch(
-      "all_gather",
-      [this, bytes_per_rank, n](int src, SimTime start, detail::CollectiveState&) {
-        const int next = (src + 1) % n;
-        SimTime t = start;
-        for (int step = 0; step < n - 1; ++step) {
-          const auto d = xfer(src, next, bytes_per_rank, 1, t);
-          t = d.delivered;
-        }
-        return t;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::reduceScatter(std::int64_t total_bytes,
-                                    std::function<void()> on_complete) {
-  PGASEMB_CHECK(total_bytes >= 0, "negative reduce-scatter size");
-  const int n = system_.numGpus();
-  const std::int64_t block = n > 0 ? total_bytes / n : 0;
-  return launch(
-      "reduce_scatter",
-      [this, block, n](int src, SimTime start, detail::CollectiveState&) {
-        const int next = (src + 1) % n;
-        SimTime t = start;
-        for (int step = 0; step < n - 1; ++step) {
-          const auto d = xfer(src, next, block, 1, t);
-          t = d.delivered;
-        }
-        return t;
-      },
-      std::move(on_complete));
 }
 
 Request Communicator::allReduce(std::int64_t total_bytes,
@@ -676,76 +585,9 @@ Request Communicator::allReduce(std::int64_t total_bytes,
         const int next = (src + 1) % n;
         SimTime t = start;
         for (int step = 0; step < 2 * (n - 1); ++step) {
-          const auto d = xfer(src, next, block, 1, t);
-          t = d.delivered;
+          t = sendLogical(src, next, block, t);
         }
         return t;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::broadcast(int root, std::int64_t bytes,
-                                std::function<void()> on_complete) {
-  PGASEMB_CHECK(root >= 0 && root < system_.numGpus(), "bad broadcast root");
-  PGASEMB_CHECK(bytes >= 0, "negative broadcast size");
-  return launch(
-      "broadcast",
-      [this, root, bytes](int src, SimTime start, detail::CollectiveState&) {
-        if (src != root) return start;
-        SimTime last = start;
-        for (int dst = 0; dst < system_.numGpus(); ++dst) {
-          if (dst == root) continue;
-          const auto d = xfer(root, dst, bytes, 1, start);
-          last = std::max(last, d.delivered);
-        }
-        return last;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::gather(int root, std::int64_t bytes_per_rank,
-                             std::function<void()> on_complete) {
-  PGASEMB_CHECK(root >= 0 && root < system_.numGpus(), "bad gather root");
-  PGASEMB_CHECK(bytes_per_rank >= 0, "negative gather size");
-  return launch(
-      "gather",
-      [this, root, bytes_per_rank](int src, SimTime start, detail::CollectiveState&) {
-        if (src == root) return start;
-        const auto d = xfer(src, root, bytes_per_rank, 1, start);
-        return d.delivered;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::scatter(int root, std::int64_t bytes_per_rank,
-                              std::function<void()> on_complete) {
-  PGASEMB_CHECK(root >= 0 && root < system_.numGpus(), "bad scatter root");
-  PGASEMB_CHECK(bytes_per_rank >= 0, "negative scatter size");
-  return launch(
-      "scatter",
-      [this, root, bytes_per_rank](int src, SimTime start, detail::CollectiveState&) {
-        if (src != root) return start;
-        SimTime last = start;
-        for (int dst = 0; dst < system_.numGpus(); ++dst) {
-          if (dst == root) continue;
-          const auto d = xfer(root, dst, bytes_per_rank, 1, start);
-          last = std::max(last, d.delivered);
-        }
-        return last;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::barrier(std::function<void()> on_complete) {
-  // Modeled as a flag exchange with the ring neighbor: one header-sized
-  // message each way dominates by link latency, plus the control path.
-  return launch(
-      "barrier",
-      [this](int src, SimTime start, detail::CollectiveState&) {
-        const int next = (src + 1) % system_.numGpus();
-        if (next == src) return start;
-        const auto d = xfer(src, next, 1, 1, start);
-        return d.delivered;
       },
       std::move(on_complete));
 }
@@ -768,8 +610,7 @@ Request Communicator::ringShiftRounds(std::int64_t bytes_per_round,
         const int next = (src + 1) % n;
         SimTime t = start;
         for (int r = 0; r < rounds; ++r) {
-          const auto d = xfer(src, next, bytes_per_round, 1, t);
-          t = d.delivered + round_sync;
+          t = sendLogical(src, next, bytes_per_round, t) + round_sync;
         }
         return t;
       },

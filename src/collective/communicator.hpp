@@ -13,14 +13,10 @@
 #include <vector>
 
 #include "collective/request.hpp"
-#include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
+#include "fault/transport.hpp"
 #include "gpu/system.hpp"
 #include "util/pool.hpp"
-
-namespace pgasemb::fault {
-class FaultInjector;
-}
 
 namespace pgasemb::collective {
 
@@ -38,22 +34,15 @@ struct HierStaging {
   std::vector<simsan::StridedRange> recv_slots;    ///< one per source node
 };
 
-/// Hierarchical all-to-all configuration (see DESIGN.md §12): members
-/// stage their inter-node contributions at the node leader over NVLink,
-/// the leader ships exactly one aggregated flow per destination node —
-/// a one-sided bulk RDMA from a pre-staged contiguous buffer, so it runs
-/// at full NIC fraction instead of the collective protocol efficiency —
-/// and the destination leader scatters over NVLink.
+/// Leader staging of the hierarchical all-to-all (DESIGN.md §12):
+/// members stage their inter-node contributions at the node leader over
+/// NVLink, the leader ships exactly one aggregated flow per destination
+/// node — a one-sided bulk RDMA from a pre-staged contiguous buffer, so
+/// it runs at full NIC fraction instead of the collective protocol
+/// efficiency — and the destination leader scatters over NVLink. Whether
+/// the hierarchy is armed, and the codec, come from the Transport; these
+/// are the buffers and the failover hook the builder provisions for it.
 struct HierarchicalParams {
-  bool enabled = false;
-  /// Optional error-bounded codec applied to inter-node wire bytes (also
-  /// compresses flat-mode inter-node chunks when hierarchy is off).
-  fabric::InterNodeCodec* codec = nullptr;
-  /// Seeded bug for simsan certification: inject the intra-node scatter
-  /// when the inter-node flow is *injected* instead of delivered, and
-  /// skip the happens-before edge — the classic scatter-before-
-  /// interflow-complete race.
-  bool bug_scatter_before_interflow = false;
   std::vector<HierStaging> staging;  ///< per node; may be empty
   /// Standby staging on each node's failover leader (the next healthy
   /// GPU), provisioned by the builder when the fault plan can fail a
@@ -64,34 +53,26 @@ struct HierarchicalParams {
   /// leader (set by the builder; returns the kernel's completion time).
   /// Null = timing-free rebuild (counters still tick).
   std::function<SimTime(int node, int standby_device)> rebuild;
-  /// Seeded bug for simsan certification: the standby rebuild's staging
-  /// writes run under a forked, never-joined rogue actor and the
-  /// node-wide re-quiet (the release members acquire before gathering)
-  /// is skipped — member gather writes race the rebuild.
-  bool bug_rebuild_without_requiet = false;
 };
 
 class Communicator {
  public:
-  Communicator(gpu::MultiGpuSystem& system, fabric::Fabric& fabric);
+  /// `transport` carries every collective wire transfer: chunks that
+  /// cross nodes are encoded by its codec, and under an armed injector
+  /// flap-dropped chunks are reissued (counted as collective_reissues).
+  /// With its hierarchy armed on a multi-node topology, the all-to-all
+  /// takes the leader-staged path over `hier`'s buffers. A bare fabric
+  /// gives the flat, fault-free path.
+  Communicator(gpu::MultiGpuSystem& system, fault::Transport transport,
+               HierarchicalParams hier = {});
 
   int numGpus() const { return system_.numGpus(); }
 
-  /// Attach the fault injector: every collective wire transfer gains
-  /// bounded reissue of flap-dropped chunks (counted as
-  /// collective_reissues).  Null (the default) keeps the direct fabric
-  /// path, bit-identical to a fault-free build.  Not owned.
-  void setFaultInjector(fault::FaultInjector* injector) {
-    injector_ = injector;
-  }
-
-  /// Arm (or disarm) the hierarchical all-to-all path and the inter-node
-  /// codec.  Defaults keep every collective on the flat path,
-  /// bit-identical to earlier builds.
-  void setHierarchical(HierarchicalParams params) {
-    hier_ = std::move(params);
-  }
-  const HierarchicalParams& hierarchical() const { return hier_; }
+  /// The transport every wire transfer goes through, and the leader
+  /// staging of the hierarchical all-to-all (retrievers launch their
+  /// staging kernels on the transport's elected leaders).
+  const fault::Transport& transport() const { return transport_; }
+  const HierarchicalParams& hierStaging() const { return hier_; }
 
   /// Asynchronous all-to-all: `send_bytes[src][dst]` payload bytes move
   /// from src to dst (diagonal = local, free). Equivalent of
@@ -110,35 +91,9 @@ class Communicator {
       const std::vector<gpu::Stream*>* streams = nullptr,
       const CollectiveMemory* memory = nullptr);
 
-  /// Each GPU contributes `bytes_per_rank`; all GPUs end with all
-  /// contributions (ring algorithm, p-1 steps).
-  Request allGather(std::int64_t bytes_per_rank,
-                    std::function<void()> on_complete = nullptr);
-
-  /// Ring reduce-scatter of a `total_bytes` buffer (p-1 steps of
-  /// total/p-sized transfers, reductions overlapped with transfer).
-  Request reduceScatter(std::int64_t total_bytes,
-                        std::function<void()> on_complete = nullptr);
-
   /// Ring all-reduce = reduce-scatter + all-gather, 2(p-1) steps.
   Request allReduce(std::int64_t total_bytes,
                     std::function<void()> on_complete = nullptr);
-
-  /// Root sends `bytes` to every other GPU (flat tree).
-  Request broadcast(int root, std::int64_t bytes,
-                    std::function<void()> on_complete = nullptr);
-
-  /// Every GPU sends `bytes_per_rank` to `root` (flat fan-in).
-  Request gather(int root, std::int64_t bytes_per_rank,
-                 std::function<void()> on_complete = nullptr);
-
-  /// `root` sends a distinct `bytes_per_rank` block to every other GPU.
-  Request scatter(int root, std::int64_t bytes_per_rank,
-                  std::function<void()> on_complete = nullptr);
-
-  /// Synchronization only: zero-byte all-to-all (costs the control path
-  /// and one latency).
-  Request barrier(std::function<void()> on_complete = nullptr);
 
   /// `rounds` rounds in which every GPU ships `bytes_per_round` to its
   /// ring successor, with a full synchronization between rounds.  This is
@@ -172,10 +127,6 @@ class Communicator {
   /// sanitizeCompletion's retire-together barrier.
   void sanitizeHierarchical(detail::CollectiveState& state);
 
-  /// True when collectives should take the hierarchical path.
-  bool hierActive() { return hier_.enabled && topologyNodes() > 1; }
-  int topologyNodes() { return fabric_.topology().numNodes(); }
-
   /// Per-collective routing decisions, latched once at launch (host)
   /// time so every member agrees: the elected leader of each node
   /// (failover under a leader-fail window) and the per-node-pair
@@ -199,8 +150,8 @@ class Communicator {
   SimTime hierarchicalInject(
       int src, SimTime start,
       const std::vector<std::vector<std::int64_t>>& matrix,
-      const ChunkingParams& chunking, SimTime chunk_overhead,
-      const HierRouting& routing, detail::CollectiveState& state);
+      const ChunkingParams& chunking, const HierRouting& routing,
+      detail::CollectiveState& state);
 
   /// Inject the aggregated (src_node → dst_node) inter flow at the
   /// pair's ready time, then the destination-side scatter; returns the
@@ -208,8 +159,8 @@ class Communicator {
   SimTime injectInterAndScatter(
       int src_node, int dst_node, const detail::HierPair& pair,
       const std::vector<std::vector<std::int64_t>>& matrix,
-      const ChunkingParams& chunking, SimTime chunk_overhead,
-      const HierRouting& routing, detail::CollectiveState& state);
+      const ChunkingParams& chunking, const HierRouting& routing,
+      detail::CollectiveState& state);
 
   /// NCCL protocol efficiency applied to all collective wire traffic
   /// (staging copies, handshakes) — see CostModel.
@@ -217,37 +168,37 @@ class Communicator {
     return system_.costModel().collective_protocol_efficiency;
   }
 
-  /// All flat collective wire traffic funnels through here: direct
-  /// fabric transfer normally, reissue-on-drop when a fault injector is
-  /// set.  Charges the strict tracker with the logical payload and
-  /// compresses inter-node flows when a codec is armed.
-  fabric::Fabric::Delivery xfer(int src, int dst, std::int64_t payload_bytes,
-                                std::int64_t n_messages, SimTime at);
+  /// One logical (src, dst) transfer of a collective: charged to the
+  /// strict tracker at its payload, encoded by the transport when it
+  /// crosses nodes, and sent at the protocol efficiency. Returns its
+  /// delivery.
+  SimTime sendLogical(int src, int dst, std::int64_t bytes, SimTime at);
 
-  /// Physical hop of a hierarchical transfer: same fault handling as
-  /// xfer(), but no strict charge (the logical (src, dst) transfer is
-  /// charged once, separately — forwarded hops would otherwise blow the
-  /// leader's declared budget) and an explicit bandwidth fraction.
-  fabric::Fabric::Delivery hierXfer(int src, int dst,
-                                    std::int64_t payload_bytes,
-                                    std::int64_t n_messages, SimTime at,
-                                    double bandwidth_fraction);
+  /// How sendChunked() ships each chunk. Hierarchical hops are sent
+  /// as-is: their logical transfer is charged once, separately
+  /// (forwarded hops would otherwise overdraw the leader's strict
+  /// budget), and the aggregated inter-node flow is encoded whole.
+  enum class Leg {
+    kLogical,  ///< an end-to-end (src, dst) chunk: sendLogical()
+    kHop,      ///< a staging gather/scatter hop, at protocol efficiency
+    kBulk,     ///< the aggregated leader -> leader RDMA, at full fraction
+  };
 
-  /// Chunked hierarchical hop: split `bytes` into pipeline chunks,
-  /// advancing `inject_at` by the per-chunk proxy overhead; returns the
-  /// last chunk's delivery.
+  /// Ships `bytes` from `from` to `to` in pipeline chunks, each injected
+  /// one proxy overhead after the previous (`inject_at` advances).
+  /// Returns the last delivery (`inject_at` when there is nothing to
+  /// send).
   SimTime sendChunked(int from, int to, std::int64_t bytes,
                       SimTime& inject_at, const ChunkingParams& chunking,
-                      SimTime chunk_overhead, double bandwidth_fraction);
+                      Leg leg);
 
   gpu::MultiGpuSystem& system_;
-  fabric::Fabric& fabric_;
-  fault::FaultInjector* injector_ = nullptr;
+  fault::Transport transport_;
   HierarchicalParams hier_;
   /// Strict-effects attribution cursor: points at the tracker of the
   /// collective whose inject function is currently executing (the sim
   /// is single-threaded; injects run synchronously inside stream ops),
-  /// so xfer() can charge transfers to the right collective. Null
+  /// so sendLogical() can charge transfers to the right collective. Null
   /// outside inject windows and without --simsan-strict.
   simsan::StrictCollectiveTracker* strict_active_ = nullptr;
   /// Recycles the per-collective completion records (one per launch).

@@ -63,7 +63,6 @@ struct HierScatterLog {
   int src_node = -1;  ///< recv-staging slot the scatter reads
   SimTime at = SimTime::zero();
   SimTime delivered = SimTime::zero();
-  bool synced = true;  ///< false only under the seeded scatter bug
 };
 
 /// Shared completion state between the stream ops of one collective.

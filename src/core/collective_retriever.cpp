@@ -7,16 +7,14 @@
 #include "emb/lookup_kernel.hpp"
 #include "emb/staging_kernel.hpp"
 #include "emb/unpack_kernel.hpp"
-#include "fault/injector.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::core {
 
 CollectiveRetriever::CollectiveRetriever(emb::ShardedEmbeddingLayer& layer,
                                          collective::Communicator& comm,
-                                         emb::ReplicaCache* cache,
-                                         CollectiveMultiNodeOptions multinode)
-    : layer_(layer), comm_(comm), cache_(cache), multinode_(multinode) {
+                                         emb::ReplicaCache* cache)
+    : layer_(layer), comm_(comm), cache_(cache) {
   PGASEMB_CHECK(layer.sharding().scheme() == emb::ShardingScheme::kTableWise,
                 "the collective baseline implements table-wise sharding "
                 "(the paper's scheme)");
@@ -59,6 +57,8 @@ void CollectiveRetriever::copyAllToAllPayload() {
   const auto& sh = layer_.sharding();
   const int p = sh.numGpus();
   const int dim = layer_.dim();
+  auto* codec = comm_.transport().codec();
+  const auto& topo = comm_.transport().fabric().topology();
   for (int src = 0; src < p; ++src) {
     const auto send = send_buffers_[static_cast<std::size_t>(src)].span();
     const std::int64_t t_local = sh.tablesOn(src);
@@ -70,8 +70,7 @@ void CollectiveRetriever::copyAllToAllPayload() {
       const std::int64_t recv_base =
           sh.firstTableOn(src) * sh.miniBatchSize(dst) * dim;
       const bool compress =
-          multinode_.codec != nullptr && multinode_.gpus_per_node > 0 &&
-          src / multinode_.gpus_per_node != dst / multinode_.gpus_per_node;
+          codec != nullptr && topo.nodeOf(src) != topo.nodeOf(dst);
       if (!compress) {
         std::copy_n(send.begin() + send_base, len,
                     recv.begin() + recv_base);
@@ -85,7 +84,7 @@ void CollectiveRetriever::copyAllToAllPayload() {
         const std::int64_t table = sh.firstTableOn(src) + lt;
         for (std::int64_t i = 0; i < per_table; ++i) {
           recv[static_cast<std::size_t>(recv_base + lt * per_table + i)] =
-              multinode_.codec->transcode(
+              codec->transcode(
                   table,
                   send[static_cast<std::size_t>(send_base + lt * per_table +
                                                 i)]);
@@ -164,22 +163,20 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   // contribution into the node's gather staging before the exchange
   // (other members' contributions arrive over NVLink inside the
   // collective itself).
-  const bool hier = multinode_.hierarchical &&
-                    multinode_.hier_staging != nullptr &&
-                    multinode_.gpus_per_node > 0;
+  const auto& staging = comm_.hierStaging();
+  const bool hier =
+      comm_.transport().hierarchical() && !staging.staging.empty();
+  const int gpn = comm_.transport().fabric().topology().gpusPerNode();
   // Failover-aware staging selection: when a leader-fail window has
   // moved a node's staging leadership, the staging kernels run on the
   // elected (standby) leader against the standby staging buffer.
   const auto electedStaging =
       [&](std::size_t n) -> const collective::HierStaging* {
-    const collective::HierStaging* stg =
-        &(*multinode_.hier_staging)[n];
-    if (multinode_.injector != nullptr &&
-        multinode_.hier_standby != nullptr &&
-        n < multinode_.hier_standby->size()) {
-      const int elected = multinode_.injector->leaderAt(
-          static_cast<int>(n), system.hostNow());
-      const auto& standby = (*multinode_.hier_standby)[n];
+    const collective::HierStaging* stg = &staging.staging[n];
+    if (n < staging.standby_staging.size()) {
+      const int elected = comm_.transport().leaderAt(static_cast<int>(n),
+                                                     system.hostNow());
+      const auto& standby = staging.standby_staging[n];
       if (elected != stg->device && standby.device == elected) {
         stg = &standby;
       }
@@ -187,20 +184,19 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
     return stg;
   };
   if (hier) {
-    const auto& staging = *multinode_.hier_staging;
-    for (std::size_t n = 0; n < staging.size(); ++n) {
+    for (std::size_t n = 0; n < staging.staging.size(); ++n) {
       const auto* stg = electedStaging(n);
       const int leader = stg->device;
       std::int64_t bytes = 0;
       for (int d = 0; d < p; ++d) {
-        if (d / multinode_.gpus_per_node == static_cast<int>(n)) continue;
+        if (d / gpn == static_cast<int>(n)) continue;
         bytes += matrix[static_cast<std::size_t>(leader)]
                        [static_cast<std::size_t>(d)];
       }
       // The leader packs its own contribution into its local-rank slot
       // (slot 0 for the default leader, the standby's rank otherwise).
       const std::size_t local = static_cast<std::size_t>(
-          leader - static_cast<int>(n) * multinode_.gpus_per_node);
+          leader - static_cast<int>(n) * gpn);
       system.launchKernel(
           leader, emb::buildLeaderGatherKernel(
                       layer_, static_cast<int>(n), leader,
@@ -235,16 +231,15 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   // Hierarchical: each destination leader demultiplexes the landed
   // per-source-node recv staging before the ordinary unpack runs.
   if (hier) {
-    const auto& staging = *multinode_.hier_staging;
-    for (std::size_t n = 0; n < staging.size(); ++n) {
+    for (std::size_t n = 0; n < staging.staging.size(); ++n) {
       const auto* stg = electedStaging(n);
       const int leader = stg->device;
       std::int64_t bytes = 0;
       for (int s = 0; s < p; ++s) {
-        if (s / multinode_.gpus_per_node == static_cast<int>(n)) continue;
-        for (int d = 0; d < multinode_.gpus_per_node; ++d) {
+        if (s / gpn == static_cast<int>(n)) continue;
+        for (int d = 0; d < gpn; ++d) {
           bytes += matrix[static_cast<std::size_t>(s)][static_cast<std::size_t>(
-              static_cast<int>(n) * multinode_.gpus_per_node + d)];
+              static_cast<int>(n) * gpn + d)];
         }
       }
       simsan::StridedRange span{};
@@ -281,15 +276,8 @@ namespace {
 const RetrieverRegistrar kRegistrar{
     "nccl_collective",
     [](const SystemContext& ctx) -> std::unique_ptr<EmbeddingRetriever> {
-      CollectiveMultiNodeOptions multinode;
-      multinode.hierarchical = ctx.hierarchical_a2a;
-      multinode.hier_staging = ctx.hier_staging;
-      multinode.hier_standby = ctx.hier_standby;
-      multinode.injector = ctx.injector;
-      multinode.codec = ctx.codec;
-      multinode.gpus_per_node = ctx.gpus_per_node;
       return std::make_unique<CollectiveRetriever>(ctx.layer, ctx.comm,
-                                                   ctx.cache, multinode);
+                                                   ctx.cache);
     },
     /*aliases=*/{"nccl_baseline"}};
 }  // namespace

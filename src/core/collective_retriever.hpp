@@ -18,38 +18,21 @@
 
 namespace pgasemb::core {
 
-/// Multi-node knobs of the collective baseline (defaults = single-node
-/// behavior, bit-identical to earlier builds).
-struct CollectiveMultiNodeOptions {
-  /// Hierarchical all-to-all (DESIGN.md §12): launch the leader gather
-  /// kernel before the exchange and the leader scatter kernel after
-  /// wait(), with their staging-buffer effects from `hier_staging`.
-  /// The Communicator handles the wire side; the pipelined baseline
-  /// rides the same wire path but skips these device kernels (its
-  /// buffers are recycled across in-flight batches).
-  bool hierarchical = false;
-  const std::vector<collective::HierStaging>* hier_staging = nullptr;
-  /// Standby staging on each node's failover leader; the staging
-  /// kernels follow the injector's elected leader onto it when a
-  /// leader-fail window is open (nullptr = no failover provisioned).
-  const std::vector<collective::HierStaging>* hier_standby = nullptr;
-  /// Armed fault injector, queried for the elected node leaders
-  /// (nullptr = topology defaults).
-  fault::FaultInjector* injector = nullptr;
-  /// Functional mode: cross-node chunks are really transcoded through
-  /// the codec, so landed outputs carry the measured compression error.
-  fabric::InterNodeCodec* codec = nullptr;
-  int gpus_per_node = 0;
-};
-
 class CollectiveRetriever final : public EmbeddingRetriever {
  public:
   /// `cache` (optional) serves hot bags from the local replica: the
   /// lookup computes misses only and the all-to-all splits shrink.
+  /// Multi-node behaviour follows `comm`: with its hierarchy armed and
+  /// leader staging provisioned (DESIGN.md §12), the leader gather
+  /// kernel runs before the exchange and the leader scatter kernel
+  /// after wait(), on the elected (possibly standby) leader; the
+  /// pipelined baseline rides the same wire path but skips these
+  /// device kernels (its buffers are recycled across in-flight
+  /// batches). In Functional mode cross-node chunks really pass through
+  /// the transport's codec, so landed outputs carry the measured error.
   CollectiveRetriever(emb::ShardedEmbeddingLayer& layer,
                       collective::Communicator& comm,
-                      emb::ReplicaCache* cache = nullptr,
-                      CollectiveMultiNodeOptions multinode = {});
+                      emb::ReplicaCache* cache = nullptr);
   ~CollectiveRetriever() override;
 
   std::string name() const override { return "nccl_collective"; }
@@ -62,7 +45,6 @@ class CollectiveRetriever final : public EmbeddingRetriever {
   emb::ShardedEmbeddingLayer& layer_;
   collective::Communicator& comm_;
   emb::ReplicaCache* cache_ = nullptr;
-  CollectiveMultiNodeOptions multinode_;
   std::vector<gpu::DeviceBuffer> send_buffers_;
   std::vector<gpu::DeviceBuffer> recv_buffers_;
   std::vector<gpu::DeviceBuffer> outputs_;

@@ -1,11 +1,11 @@
 #include "core/fallback.hpp"
 
-#include "core/latency_histogram.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::core {
 
-SloTracker::SloTracker(const FallbackPolicy& policy) : policy_(policy) {
+SloTracker::SloTracker(const FallbackPolicy& policy)
+    : policy_(policy), window_(policy.query_window) {
   if (!policy_.enabled()) return;
   PGASEMB_CHECK(policy_.patience >= 1, "fallback patience must be >= 1");
   PGASEMB_CHECK(!policy_.fallback_to.empty(),
@@ -40,28 +40,13 @@ bool SloTracker::record(SimTime batch_total) {
   return false;
 }
 
-SimTime SloTracker::windowP95() const {
-  if (!window_full_) return SimTime::zero();
-  std::vector<SimTime> scratch = window_;  // small — default 64 entries
-  return core::windowP95(scratch);
-}
-
 bool SloTracker::recordQuery(SimTime latency) {
   if (!policy_.enabled() || fired_) return false;
-  if (window_.empty()) {
-    PGASEMB_CHECK(policy_.query_window >= 1,
-                  "fallback query window must be >= 1");
-    window_.assign(static_cast<std::size_t>(policy_.query_window),
-                   SimTime::zero());
-    window_next_ = 0;
-    window_full_ = false;
-  }
-  window_[window_next_] = latency;
-  window_next_ = (window_next_ + 1) % window_.size();
-  const bool just_filled = !window_full_ && window_next_ == 0;
-  if (just_filled) window_full_ = true;
-  if (!window_full_) return false;
-  const SimTime p95 = windowP95();
+  PGASEMB_CHECK(policy_.query_window >= 1,
+                "fallback query window must be >= 1");
+  window_.add(latency);
+  if (!window_.full()) return false;
+  const SimTime p95 = window_.p95();
   if (!calibrated_) {
     // The first full window defines the healthy tail; degradation that
     // develops under load shows up as multiples of it.

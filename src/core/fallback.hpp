@@ -12,8 +12,8 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
+#include "core/latency_histogram.hpp"
 #include "util/time.hpp"
 
 namespace pgasemb::core {
@@ -63,7 +63,7 @@ class SloTracker {
   SimTime slo() const { return slo_; }
 
   /// The current sliding window's p95 (zero until the window fills).
-  SimTime windowP95() const;
+  SimTime windowP95() const { return window_.p95(); }
 
  private:
   FallbackPolicy policy_;
@@ -71,10 +71,7 @@ class SloTracker {
   int consecutive_over_ = 0;
   bool calibrated_ = false;
   bool fired_ = false;
-  // Query mode: circular window of the most recent latencies.
-  std::vector<SimTime> window_;
-  std::size_t window_next_ = 0;
-  bool window_full_ = false;
+  LatencyWindow window_;  ///< query mode: the most recent latencies
 };
 
 }  // namespace pgasemb::core

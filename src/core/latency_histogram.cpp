@@ -91,4 +91,22 @@ SimTime windowP95(std::vector<SimTime>& window) {
   return window[rank];
 }
 
+LatencyWindow::LatencyWindow(int capacity)
+    : capacity_(static_cast<std::size_t>(std::max(capacity, 0))) {}
+
+void LatencyWindow::add(SimTime latency) {
+  if (values_.size() < capacity_) {
+    values_.push_back(latency);
+    return;
+  }
+  values_[next_] = latency;
+  next_ = (next_ + 1) % capacity_;
+}
+
+SimTime LatencyWindow::p95() const {
+  if (!full()) return SimTime::zero();
+  scratch_ = values_;
+  return windowP95(scratch_);
+}
+
 }  // namespace pgasemb::core

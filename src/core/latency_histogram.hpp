@@ -66,4 +66,27 @@ class LatencyHistogram {
 /// the admission controller all take their window p95 from here.
 SimTime windowP95(std::vector<SimTime>& window);
 
+/// The last `capacity` latencies (capacity >= 1), the oldest overwritten
+/// first: the sliding window behind the SLO fallback tracker and the
+/// admission controller.
+class LatencyWindow {
+ public:
+  explicit LatencyWindow(int capacity);
+
+  void add(SimTime latency);
+
+  /// True once `capacity` latencies have been added.
+  bool full() const { return capacity_ > 0 && values_.size() == capacity_; }
+
+  /// windowP95 of the held latencies once full (it does not depend on
+  /// their order); zero before.
+  SimTime p95() const;
+
+ private:
+  std::size_t capacity_;
+  std::size_t next_ = 0;  ///< slot the next add overwrites once full
+  std::vector<SimTime> values_;
+  mutable std::vector<SimTime> scratch_;  ///< reordered by windowP95
+};
+
 }  // namespace pgasemb::core

@@ -93,10 +93,14 @@ BatchTiming PgasFusedRetriever::runBatch(const emb::SparseBatch& batch) {
   // a cache the kernel classifies its indices against the replica first
   // and computes/puts misses only.  The builder declares the local
   // write effect and the remote put footprints from the output views.
+  // Functional mode really encodes/decodes values put across nodes with
+  // the transport's codec, so the landed outputs carry its measured error.
+  const auto& transport = runtime_.transport();
   for (int g = 0; g < p; ++g) {
     auto fused = emb::buildFusedLookupKernel(
         layer_, batch, g, &outputs_view_, options_.slices, f,
-        row_wise ? nullptr : options_.codec, options_.gpus_per_node);
+        row_wise ? nullptr : transport.codec(),
+        transport.fabric().topology().gpusPerNode());
     runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
                                options_.counter, options_.aggregator,
                                std::move(fused.remote_writes));
@@ -132,8 +136,6 @@ const RetrieverRegistrar kRegistrar{
       opts.slices = ctx.pgas_slices;
       opts.aggregator = ctx.aggregator;
       opts.cache = ctx.cache;
-      opts.codec = ctx.codec;
-      opts.gpus_per_node = ctx.gpus_per_node;
       return std::make_unique<PgasFusedRetriever>(ctx.layer, ctx.runtime,
                                                   opts);
     }};

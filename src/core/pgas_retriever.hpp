@@ -31,11 +31,6 @@ struct PgasRetrieverOptions {
   /// on-stream all-PE barrier, serve kernels pool the hit bags locally.
   /// Still one launch loop and one host sync per batch.
   emb::ReplicaCache* cache = nullptr;
-  /// Optional inter-node codec: Functional mode really encodes/decodes
-  /// values put across nodes, so the landed outputs carry the measured
-  /// compression error. Requires gpus_per_node > 0.
-  fabric::InterNodeCodec* codec = nullptr;
-  int gpus_per_node = 0;
 };
 
 class PgasFusedRetriever final : public EmbeddingRetriever {

@@ -21,17 +21,12 @@
 namespace pgasemb {
 namespace collective {
 class Communicator;
-struct HierStaging;
 }
 namespace emb {
 class ReplicaCache;
 }
 namespace fabric {
 class Fabric;
-class InterNodeCodec;
-}
-namespace fault {
-class FaultInjector;
 }
 namespace pgas {
 class PgasRuntime;
@@ -59,29 +54,9 @@ struct SystemContext {
   /// Hot-row replica cache (nullptr = disabled); retrievers that honor
   /// it serve hit bags from the local replica and exchange only misses.
   emb::ReplicaCache* cache = nullptr;
-
-  /// Multi-node layout (1 = single node, everything below inert).
-  int num_nodes = 1;
-  int gpus_per_node = 0;  ///< = system.numGpus() on a single node
-  /// Hierarchical all-to-all armed (SystemBuilder already wired the
-  /// communicator and the PGAS runtime; retrievers use this to launch
-  /// the leader staging kernels around their exchanges).
-  bool hierarchical_a2a = false;
-  /// Inter-node error-bounded codec (nullptr = compression off). The
-  /// fabric-side wire accounting is already wired; Functional-mode
-  /// retrievers pass it to their kernels so landed cross-node values
-  /// carry the measured quantization error.
-  fabric::InterNodeCodec* codec = nullptr;
-  /// Per-node leader staging ranges of the hierarchical all-to-all
-  /// (nullptr or empty when hierarchy is off).
-  const std::vector<collective::HierStaging>* hier_staging = nullptr;
-  /// Standby staging on each node's failover leader (nullptr when the
-  /// fault plan cannot fail a leader).
-  const std::vector<collective::HierStaging>* hier_standby = nullptr;
-  /// Armed fault injector (nullptr without --faults): retrievers query
-  /// it for the elected node leader so their staging kernels follow a
-  /// leader failover.
-  fault::FaultInjector* injector = nullptr;
+  // Multi-node state is read from comm/runtime: their shared
+  // fault::Transport (hierarchy, codec, elected leaders) and the
+  // communicator's leader staging.
 };
 
 class RetrieverRegistry {

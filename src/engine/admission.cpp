@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/latency_histogram.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::engine {
@@ -29,12 +28,9 @@ std::string formatShedPolicy(ShedPolicy policy) {
 }
 
 AdmissionController::AdmissionController(AdmissionParams params)
-    : params_(params) {
+    : params_(params), window_(params.window) {
   PGASEMB_CHECK(params_.queue_limit >= 0, "admit-queue must be >= 0");
   PGASEMB_CHECK(params_.window >= 0, "admit-window must be >= 0");
-  if (params_.window > 0) {
-    window_.reserve(static_cast<std::size_t>(params_.window));
-  }
 }
 
 bool AdmissionController::admit(const Query& query,
@@ -80,20 +76,11 @@ void AdmissionController::expire(SimTime now, std::deque<Query>& pending) {
 
 void AdmissionController::onCompletion(SimTime latency) {
   if (params_.window <= 0 || params_.slo <= SimTime::zero()) return;
-  const auto cap = static_cast<std::size_t>(params_.window);
-  if (window_.size() < cap) {
-    window_.push_back(latency);
-  } else {
-    window_[window_next_] = latency;
-    window_next_ = (window_next_ + 1) % cap;
-    window_full_ = true;
-  }
-  if (!window_full_ && window_.size() < cap) return;
-  window_full_ = true;
+  window_.add(latency);
+  if (!window_.full()) return;
   // Window p95, then additive-increase / additive-decrease on the shed
   // fraction: react fast to an SLO breach, release load back slowly.
-  std::vector<SimTime> scratch = window_;
-  const SimTime p95 = core::windowP95(scratch);
+  const SimTime p95 = window_.p95();
   if (p95 > params_.slo) {
     shed_fraction_ = std::min(0.9, shed_fraction_ + 0.1);
   } else {

@@ -20,8 +20,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
+#include "core/latency_histogram.hpp"
 #include "engine/experiment.hpp"
 #include "engine/load_generator.hpp"
 #include "util/time.hpp"
@@ -73,10 +73,7 @@ class AdmissionController {
 
  private:
   AdmissionParams params_;
-  /// Ring of the last `window` completed-query latencies.
-  std::vector<SimTime> window_;
-  std::size_t window_next_ = 0;
-  bool window_full_ = false;
+  core::LatencyWindow window_;  ///< the last `window` completed queries
   double shed_fraction_ = 0.0;
   double debt_ = 0.0;  ///< error-diffusion accumulator (deterministic)
   std::int64_t shed_queue_ = 0;

@@ -30,8 +30,6 @@ void ExperimentConfig::validate() const {
                     sharding == emb::ShardingScheme::kTableWise,
                 "inter-node compression is table-wise only (per-table "
                 "error bounds do not compose with row-wise partial sums)");
-  PGASEMB_CHECK(!hier_bug_scatter || hierarchical_a2a,
-                "hier-bug-scatter needs hierarchical-a2a");
   if (cache_rows > 0) {
     // Every GPU holds a replica of the hot rows of every table (clamped
     // to the raw-index domain, as ReplicaCache does) beside its own
@@ -62,9 +60,6 @@ void ExperimentConfig::validate() const {
                     "leader to elect otherwise)");
     }
   }
-  PGASEMB_CHECK(!faults.bug_rebuild_without_requiet ||
-                    hierarchical_a2a,
-                "bug-rebuild-without-requiet needs hierarchical-a2a");
   if (!serving.enabled()) {
     PGASEMB_CHECK(serving.admit_queue == 0 &&
                       serving.query_deadline_ms == 0.0 &&

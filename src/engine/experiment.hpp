@@ -140,10 +140,6 @@ struct ExperimentConfig {
   /// egress contend (real NICs share DMA/PCIe resources). Off by
   /// default for parity with earlier builds.
   bool nic_shared_queue = false;
-  /// Seeded bug for simsan certification: the hierarchical intra-node
-  /// scatter is injected when the inter-node flow *starts* instead of
-  /// when it is delivered, and the happens-before edge is dropped.
-  bool hier_bug_scatter = false;
   /// Time-series bucket width for the comm-volume traces.
   SimTime counter_bucket = SimTime::us(20.0);
   /// TimingOnly fast path: coalesce a kernel's per-slice injection
@@ -246,6 +242,14 @@ struct ServingResult {
 
   std::int64_t totalShed() const {
     return shed_queue + shed_overload + deadline_misses;
+  }
+
+  /// The knee rule: this point kept up with its offered load (achieved
+  /// within 5% of offered) and, when an SLO is set, met it at the p99.
+  /// The max sustainable load is the largest offered QPS that sustains.
+  bool sustains(double slo_ms) const {
+    if (achieved_qps < 0.95 * offered_qps) return false;
+    return slo_ms <= 0.0 || p99_ms <= slo_ms;
   }
 };
 

@@ -8,6 +8,7 @@
 #include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
 #include "fault/injector.hpp"
+#include "fault/transport.hpp"
 #include "pgas/runtime.hpp"
 #include "simsan/checker.hpp"
 #include "simsan/strict.hpp"
@@ -23,21 +24,20 @@ SystemBuilder::SystemBuilder(const ExperimentConfig& config)
 SystemBuilder::~SystemBuilder() = default;
 
 void SystemBuilder::reset() {
-  // Reverse construction order: the cache and the layer hold device
-  // allocations, the runtime/communicator hold fabric endpoints. The
-  // checker outlives the system so teardown frees still report into it.
+  // Reverse construction order: the runtime/communicator hold the
+  // transport (fabric, injector, codec), the cache and the layer hold
+  // device allocations. The checker outlives the system so teardown
+  // frees still report into it.
+  runtime_.reset();
+  comm_.reset();
   injector_.reset();
   for (auto& buffer : hier_buffers_) {
     buffer.device()->free(buffer);
   }
   hier_buffers_.clear();
-  hier_staging_.clear();
-  hier_standby_.clear();
   codec_.reset();
   cache_.reset();
   layer_.reset();
-  runtime_.reset();
-  comm_.reset();
   fabric_.reset();
   system_.reset();
   strict_.reset();
@@ -79,9 +79,6 @@ void SystemBuilder::build() {
   fabric_ = std::make_unique<fabric::Fabric>(
       system_->simulator(), std::move(topo), config_.counter_bucket);
 
-  comm_ = std::make_unique<collective::Communicator>(*system_, *fabric_);
-  runtime_ = std::make_unique<pgas::PgasRuntime>(*system_, *fabric_);
-  runtime_->setCoalescingEnabled(config_.coalesce_flows);
   layer_ = std::make_unique<emb::ShardedEmbeddingLayer>(
       *system_, config_.layer, config_.sharding);
   if (config_.cache_rows > 0) {
@@ -108,54 +105,49 @@ void SystemBuilder::build() {
         config_.counter_bucket);
   }
   const bool hier = config_.hierarchical_a2a && nodes > 1;
+  collective::HierarchicalParams staging;
   if (hier && config_.sharding == emb::ShardingScheme::kTableWise) {
-    buildHierStaging(nodes, per_node);
+    staging = buildHierStaging(nodes, per_node);
   }
-  if (hier || codec_ != nullptr) {
-    collective::HierarchicalParams hp;
-    hp.enabled = hier;
-    hp.codec = codec_.get();
-    hp.bug_scatter_before_interflow = config_.hier_bug_scatter;
-    hp.staging = hier_staging_;
-    hp.standby_staging = hier_standby_;
-    hp.bug_rebuild_without_requiet =
-        config_.faults.bug_rebuild_without_requiet;
-    if (!hier_standby_.empty()) {
-      // Failover rebuild hook: replay the staging layout on the standby
-      // leader as a real device kernel with declared write effects
-      // (raw captures are rebuilt with the assembly on every reset()).
-      auto* system = system_.get();
-      auto* layer = layer_.get();
-      auto standby = hier_standby_;
-      hp.rebuild = [system, layer, standby](int node, int device) {
-        const auto& stg = standby[static_cast<std::size_t>(node)];
-        std::vector<simsan::StridedRange> slots = stg.gather_slots;
-        slots.insert(slots.end(), stg.recv_slots.begin(),
-                     stg.recv_slots.end());
-        std::int64_t elems = 0;
-        for (const auto& slot : slots) elems += slot.len;
-        return system->launchKernel(
-            device, emb::buildStagingRebuildKernel(*layer, node, device,
-                                                   slots, elems * 4));
-      };
-    }
-    comm_->setHierarchical(std::move(hp));
-    runtime_->setHierarchical(hier);
-    runtime_->setCodec(codec_.get());
+  if (!staging.standby_staging.empty()) {
+    // Failover rebuild hook: replay the staging layout on the standby
+    // leader as a real device kernel with declared write effects
+    // (raw captures are rebuilt with the assembly on every reset()).
+    auto* system = system_.get();
+    auto* layer = layer_.get();
+    auto standby = staging.standby_staging;
+    staging.rebuild = [system, layer, standby](int node, int device) {
+      const auto& stg = standby[static_cast<std::size_t>(node)];
+      std::vector<simsan::StridedRange> slots = stg.gather_slots;
+      slots.insert(slots.end(), stg.recv_slots.begin(),
+                   stg.recv_slots.end());
+      std::int64_t elems = 0;
+      for (const auto& slot : slots) elems += slot.len;
+      return system->launchKernel(
+          device, emb::buildStagingRebuildKernel(*layer, node, device, slots,
+                                                 elems * 4));
+    };
   }
   if (!config_.faults.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(config_.faults);
     injector_->arm(*system_, *fabric_);
-    runtime_->setFaultInjector(injector_.get());
-    comm_->setFaultInjector(injector_.get());
   }
+  // One transport for both libraries, so one-sided puts and collectives
+  // cross the node boundary on the same wire model.
+  const fault::Transport transport(*fabric_, injector_.get(), codec_.get(),
+                                   config_.hierarchical_a2a);
+  comm_ = std::make_unique<collective::Communicator>(*system_, transport,
+                                                     std::move(staging));
+  runtime_ = std::make_unique<pgas::PgasRuntime>(*system_, transport);
+  runtime_->setCoalescingEnabled(config_.coalesce_flows);
   if (sanitizer_ != nullptr) {
     // Table shards and other assembly-lifetime allocations are not leaks.
     sanitizer_->setBaseline();
   }
 }
 
-void SystemBuilder::buildHierStaging(int nodes, int gpus_per_node) {
+collective::HierarchicalParams SystemBuilder::buildHierStaging(
+    int nodes, int gpus_per_node) {
   const auto& sharding = layer_->sharding();
   const int dim = layer_->dim();
   const int num_gpus = config_.num_gpus;
@@ -167,7 +159,8 @@ void SystemBuilder::buildHierStaging(int nodes, int gpus_per_node) {
     if (spec.kind == fault::FaultKind::kLeaderFail) leader_fail = true;
   }
   const bool standby = leader_fail && gpus_per_node >= 2;
-  hier_staging_.reserve(static_cast<std::size_t>(nodes));
+  collective::HierarchicalParams out;
+  out.staging.reserve(static_cast<std::size_t>(nodes));
   for (int n = 0; n < nodes; ++n) {
     const int leader = n * gpus_per_node;
     // Gather staging: one slot per member holding its full inter-node
@@ -223,9 +216,10 @@ void SystemBuilder::buildHierStaging(int nodes, int gpus_per_node) {
       hier_buffers_.push_back(buffer);
       return staging;
     };
-    hier_staging_.push_back(carve(leader));
-    if (standby) hier_standby_.push_back(carve(leader + 1));
+    out.staging.push_back(carve(leader));
+    if (standby) out.standby_staging.push_back(carve(leader + 1));
   }
+  return out;
 }
 
 core::SystemContext SystemBuilder::context() {
@@ -234,13 +228,6 @@ core::SystemContext SystemBuilder::context() {
   ctx.aggregator = config_.use_aggregator ? &config_.aggregator : nullptr;
   ctx.pipeline_depth = config_.pipeline_depth;
   ctx.cache = cache_.get();
-  ctx.num_nodes = std::max(config_.num_nodes, 1);
-  ctx.gpus_per_node = config_.num_gpus / ctx.num_nodes;
-  ctx.hierarchical_a2a = config_.hierarchical_a2a && ctx.num_nodes > 1;
-  ctx.codec = codec_.get();
-  ctx.hier_staging = hier_staging_.empty() ? nullptr : &hier_staging_;
-  ctx.hier_standby = hier_standby_.empty() ? nullptr : &hier_standby_;
-  ctx.injector = injector_.get();
   return ctx;
 }
 

@@ -19,7 +19,7 @@
 namespace pgasemb {
 namespace collective {
 class Communicator;
-struct HierStaging;
+struct HierarchicalParams;
 }
 namespace emb {
 class ReplicaCache;
@@ -95,9 +95,11 @@ class SystemBuilder {
  private:
   void build();
   /// Allocate the per-node leader staging buffers of the hierarchical
-  /// all-to-all and carve their gather/recv slot ranges (table-wise
+  /// all-to-all (and the standby leaders' when the fault plan can fail a
+  /// leader) and carve their gather/recv slot ranges (table-wise
   /// sharding only; other schemes run the hierarchy timing-only).
-  void buildHierStaging(int nodes, int gpus_per_node);
+  collective::HierarchicalParams buildHierStaging(int nodes,
+                                                  int gpus_per_node);
 
   ExperimentConfig config_;
   // Destroyed after the system (teardown frees report into it).
@@ -105,23 +107,19 @@ class SystemBuilder {
   std::unique_ptr<simsan::StrictEffects> strict_;
   std::unique_ptr<gpu::MultiGpuSystem> system_;
   std::unique_ptr<fabric::Fabric> fabric_;
-  std::unique_ptr<collective::Communicator> comm_;
-  std::unique_ptr<pgas::PgasRuntime> runtime_;
   std::unique_ptr<emb::ShardedEmbeddingLayer> layer_;
   std::unique_ptr<emb::ReplicaCache> cache_;  // holds layer allocations
-  // Armed against the system + fabric; runtime/comm hold raw pointers to
-  // it, so it is torn down before them and rebuilt fresh on reset().
-  std::unique_ptr<fault::FaultInjector> injector_;
-  // Inter-node codec; runtime/comm hold raw pointers, torn down with the
-  // assembly on reset().
+  // Inter-node codec and the fault injector armed against the system +
+  // fabric; both are rebuilt fresh on reset().
   std::unique_ptr<fabric::InterNodeCodec> codec_;
-  // Hierarchical leader staging: device allocations (freed in reset(),
-  // before the devices go) and the slot ranges carved from them.
+  std::unique_ptr<fault::FaultInjector> injector_;
+  // Hierarchical leader staging buffers (freed in reset(), before the
+  // devices go); the communicator holds the slot ranges carved from them.
   std::vector<gpu::DeviceBuffer> hier_buffers_;
-  std::vector<collective::HierStaging> hier_staging_;
-  // Standby staging on each node's failover leader, provisioned only
-  // when the fault plan can fail a leader (empty otherwise).
-  std::vector<collective::HierStaging> hier_standby_;
+  // Built last, over one fault::Transport (fabric, injector, codec), so
+  // they are torn down first.
+  std::unique_ptr<collective::Communicator> comm_;
+  std::unique_ptr<pgas::PgasRuntime> runtime_;
 };
 
 }  // namespace pgasemb::engine

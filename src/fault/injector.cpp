@@ -266,13 +266,11 @@ FaultInjector::PutResult FaultInjector::reliablePut(
                           on_attempt);
 }
 
-fabric::Fabric::Delivery FaultInjector::reliableCollective(
+FaultInjector::PutResult FaultInjector::reliableCollective(
     int src, int dst, std::int64_t payload_bytes, std::int64_t n_messages,
     SimTime at, double bandwidth_fraction) {
-  const PutResult r =
-      reliableTransfer(src, dst, payload_bytes, n_messages, at,
-                       bandwidth_fraction, /*collective=*/true, nullptr);
-  return fabric::Fabric::Delivery{at, r.acked, false};
+  return reliableTransfer(src, dst, payload_bytes, n_messages, at,
+                          bandwidth_fraction, /*collective=*/true, nullptr);
 }
 
 }  // namespace pgasemb::fault

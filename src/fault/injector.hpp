@@ -5,8 +5,9 @@
 // windows get one drawn from Rng(plan.seed) — and installs the faults:
 // degradation/flap windows on the topology's links, slowdown windows on
 // the devices, and a launch-failure hook on the host.  reliablePut() and
-// reliableCollective() wrap Fabric::transfer with timeout-driven
-// re-injection under capped exponential backoff; because the fabric
+// reliableCollective(), reached through fault::Transport, wrap
+// Fabric::transfer with timeout-driven re-injection under capped
+// exponential backoff; because the fabric
 // computes deliveries eagerly, a whole retransmit chain resolves
 // synchronously at injection time, so PGAS quiet and collective
 // completion times simply absorb the recovered delivery.
@@ -65,13 +66,10 @@ class FaultInjector {
                         const AttemptFn& on_attempt = nullptr);
 
   /// Collective chunk transfer with bounded reissue (counted separately
-  /// as collective_reissues). Returns a Delivery whose `delivered` is
-  /// the final successful attempt's delivery; never dropped.
-  fabric::Fabric::Delivery reliableCollective(int src, int dst,
-                                              std::int64_t payload_bytes,
-                                              std::int64_t n_messages,
-                                              SimTime at,
-                                              double bandwidth_fraction);
+  /// as collective_reissues).
+  PutResult reliableCollective(int src, int dst, std::int64_t payload_bytes,
+                               std::int64_t n_messages, SimTime at,
+                               double bandwidth_fraction);
 
   // --- Node-level fault domains (multi-node topologies) -------------------
 

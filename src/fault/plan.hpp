@@ -76,16 +76,6 @@ struct FaultPlan {
   /// Horizon the seeded window draw spreads unwindowed specs over.
   SimTime horizon = SimTime::ms(10.0);
   RetryPolicy retry;
-  /// Testing only: seeded bug for the simsan certification tests — the
-  /// retransmit path reuses the first attempt's delivery time for quiet
-  /// and runs the re-sent put under a never-joined actor, recreating
-  /// "retransmit without re-arming quiet" so simsan can catch it.
-  bool bug_retransmit_without_quiet = false;
-  /// Testing only: seeded bug for the failover certification tests — the
-  /// standby leader's staging rebuild runs under a never-synchronized
-  /// actor instead of the stream (skipping the node-wide re-quiet), so
-  /// its write races the members' gather traffic and simsan names it.
-  bool bug_rebuild_without_requiet = false;
 
   bool empty() const { return specs.empty(); }
 

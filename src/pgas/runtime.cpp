@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <string>
 
-#include "fault/injector.hpp"
 #include "simsan/strict.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::pgas {
 
-PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
+PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system,
+                         fault::Transport transport)
     : system_(system),
-      fabric_(fabric),
+      transport_(transport),
       heap_(system),
       barrier_events_(static_cast<std::size_t>(system.numGpus())) {
-  PGASEMB_CHECK(fabric.numGpus() >= system.numGpus(),
+  PGASEMB_CHECK(transport.fabric().numGpus() >= system.numGpus(),
                 "fabric topology smaller than the GPU system");
 }
 
@@ -43,10 +43,8 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
   // source's flow could interleave on the same link.
   desc.coalesce_slices = coalesce_enabled_ &&
                          system_.mode() == gpu::ExecutionMode::kTimingOnly &&
-                         system_.sanitizer() == nullptr &&
-                         injector_ == nullptr && counter == nullptr &&
-                         codec_ == nullptr && !hierarchical_ &&
-                         fabric_.coalescingSafe();
+                         system_.sanitizer() == nullptr && counter == nullptr &&
+                         transport_.coalescable();
 
   auto quiet = quiet_pool_.make();
 
@@ -73,8 +71,8 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
           "gpu" + std::to_string(src) + ".pgas_put",
           system_.stream(src).sanitizerActor());
     }
-    // One delivery-tracking callback per slice, not per put: the flow
-    // loop retargets `attempt_payload` instead of materializing a fresh
+    // One attempt observer per slice, not per put: the flow loop
+    // retargets `attempt_payload` instead of materializing a fresh
     // std::function for every transfer.
     std::int64_t attempt_payload = 0;
     const fault::FaultInjector::AttemptFn on_attempt =
@@ -82,24 +80,20 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
                                     const fabric::Fabric::Delivery&) {
           if (counter != nullptr) counter->record(attempt_at, attempt_payload);
         };
-    auto& topo = fabric_.topology();
-    // Hierarchical forwarding stays on under an armed injector: the
-    // leader hops are delivery-tracked reliable puts, and only node
-    // pairs inside a NIC fault window fall back to direct per-flow puts
-    // (per-pair degraded mode — see DESIGN.md §13). This replaces the
-    // old global flat fallback that abandoned the hierarchy whenever
-    // any plan was armed.
-    const bool hier = hierarchical_ && topo.numNodes() > 1;
+    using Traffic = fault::Transport::Traffic;
+    auto& topo = transport_.fabric().topology();
+    const bool hier = transport_.hierarchical();
+    const bool seeded_bug =
+        san != nullptr &&
+        san->seeded(simsan::SeededBug::kRetransmitWithoutQuiet);
     const auto& flows = plan.flows[static_cast<std::size_t>(slice)];
     // Common put bookkeeping once the *final* delivery time is known:
-    // quiet latches it, the comm counter records the original payload at
-    // injection time, and the simsan window spans injection -> landing
+    // quiet latches it, and the simsan window spans injection -> landing
     // (for forwarded puts the leader staging hops are timing-only; the
     // collective retriever's staging buffers are where simsan certifies
     // the gather/scatter interleavings).
     const auto log_put = [&](const auto& f, SimTime delivered) {
       quiet->last_delivery = std::max(quiet->last_delivery, delivered);
-      if (counter != nullptr) counter->record(at, f.payload_bytes);
       if (san != nullptr) {
         for (const auto& effect : remote_writes) {
           if (effect.device != f.dst) continue;
@@ -108,69 +102,50 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
         }
       }
     };
-    // Delivery-tracked direct put (the flat path under faults):
-    // flap-dropped attempts are retransmitted after timeout + backoff,
-    // every injection counts toward comm volume, and quiet waits on the
-    // *acknowledged* delivery. Returns the acked delivery time.
-    const auto reliable_direct = [&](const auto& f) {
+    // Direct put of one flow: every injection counts toward comm volume,
+    // and under faults flap-dropped attempts are retransmitted and quiet
+    // waits on the *acknowledged* delivery. Only the fault-free path runs
+    // the codec on a direct put; a delivery-tracked put ships the raw
+    // payload (kept as-is for parity with earlier builds). Returns the
+    // acked delivery time.
+    const auto put = [&](const auto& f) {
       attempt_payload = f.payload_bytes;
-      const auto r = injector_->reliablePut(
-          src, f.dst, f.payload_bytes, f.n_messages, at, on_attempt);
-      const bool buggy = injector_->plan().bug_retransmit_without_quiet &&
-                         r.retransmitted();
+      const std::int64_t wire =
+          transport_.injector() != nullptr
+              ? f.payload_bytes
+              : transport_.encode(src, f.dst, f.payload_bytes, at);
+      const auto r = transport_.send(Traffic::kPut, src, f.dst, wire,
+                                     f.n_messages, at, 1.0, on_attempt);
+      if (!(seeded_bug && r.retransmitted())) {
+        log_put(f, r.acked);
+        return r.acked;
+      }
       // Seeded bug (simsan certification): quiet latches the loss time of
       // the dropped attempt instead of the acked retransmit, so kernel
       // completion no longer covers the recovered write.
-      quiet->last_delivery = std::max(quiet->last_delivery,
-                                      buggy ? r.first_loss : r.acked);
-      if (san != nullptr) {
-        for (const auto& effect : remote_writes) {
-          if (effect.device != f.dst) continue;
-          if (!buggy) {
-            san->access(quiet->side_actor, effect.device, effect.range,
-                        effect.kind, at, r.acked, effect.label);
-            continue;
-          }
-          // The original attempt dies at the flap...
-          san->access(quiet->side_actor, effect.device, effect.range,
-                      effect.kind, at, r.first_loss, effect.label);
-          // ...and the retransmit engine lands the write without being
-          // re-armed under quiet: its actor is never joined, so the
-          // landing races with whoever consumes the destination.
-          const auto rogue = san->forkActor(
-              "gpu" + std::to_string(src) + ".pgas_put.retransmit",
-              quiet->side_actor);
-          san->access(rogue, effect.device, effect.range, effect.kind,
-                      r.first_loss, r.acked, effect.label + ".retransmit");
-        }
+      quiet->last_delivery = std::max(quiet->last_delivery, r.first_loss);
+      for (const auto& effect : remote_writes) {
+        if (effect.device != f.dst) continue;
+        // The original attempt dies at the flap...
+        san->access(quiet->side_actor, effect.device, effect.range,
+                    effect.kind, at, r.first_loss, effect.label);
+        // ...and the retransmit engine lands the write without being
+        // re-armed under quiet: its actor is never joined, so the
+        // landing races with whoever consumes the destination.
+        const auto rogue = san->forkActor(
+            "gpu" + std::to_string(src) + ".pgas_put.retransmit",
+            quiet->side_actor);
+        san->access(rogue, effect.device, effect.range, effect.kind,
+                    r.first_loss, r.acked, effect.label + ".retransmit");
       }
       return r.acked;
     };
     for (const auto& f : flows) {
       if (strict_puts != nullptr) strict_puts->flow(f.dst, f.payload_bytes);
-      const bool inter =
-          topo.routeClass(src, f.dst) == fabric::LinkClass::kInter;
-      if (hier && inter) {
+      if (hier && topo.routeClass(src, f.dst) == fabric::LinkClass::kInter) {
         continue;  // forwarded below, aggregated (or degraded) per node
       }
-      if (injector_ == nullptr) {
-        std::int64_t wire_bytes = f.payload_bytes;
-        if (codec_ != nullptr && f.payload_bytes > 0 &&
-            f.payload_bytes % 4 == 0 && inter) {
-          // Flat-mode compression: each one-sided flow is encoded on its
-          // way out of the node (the 256-byte messages shrink but their
-          // count — and hence the NIC message-rate padding — does not).
-          wire_bytes = fabric::InterNodeCodec::compressedBytes(
-              f.payload_bytes, codec_->aggregateBits(topo.nodeOf(src), at));
-          codec_->recordFlow(f.payload_bytes, wire_bytes);
-          codec_->recordEgress(topo.nodeOf(src), at, wire_bytes);
-        }
-        const auto d =
-            fabric_.transfer(src, f.dst, wire_bytes, f.n_messages, at);
-        log_put(f, d.delivered);
-        continue;
-      }
-      reliable_direct(f);
+      put(f);
     }
     if (!hier) return;
     // Hierarchical forwarding (DESIGN.md §12): per destination node,
@@ -179,27 +154,13 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
     //      original message count; free when src IS the leader);
     //   2. one aggregated bulk message leader -> leader over the NIC
     //      (n_messages = 1 kills the per-256-byte rate padding; the
-    //      codec, when attached, encodes this hop);
+    //      transport encodes this hop);
     //   3. NVLink scatter: remote leader -> each destination GPU.
-    // Forwarding hop: plain transfer when fault-free, delivery-tracked
-    // reliable put (retransmitted on drop) when an injector is armed.
-    const auto hop = [&](int a, int b, std::int64_t bytes,
-                         std::int64_t msgs, SimTime t) {
-      if (injector_ == nullptr) {
-        return fabric_.transfer(a, b, bytes, msgs, t).delivered;
-      }
-      return injector_->reliablePut(a, b, bytes, msgs, t).acked;
-    };
     const int src_node = topo.nodeOf(src);
-    // Under a leader-fail window the injector's fault domains re-elect
-    // the next healthy GPU on the node (counted as a failover).
-    const int leader_s = injector_ != nullptr
-                             ? injector_->leaderAt(src_node, at)
-                             : topo.nodeLeader(src_node);
+    const int leader_s = transport_.leaderAt(src_node, at);
     for (int node = 0; node < topo.numNodes(); ++node) {
       if (node == src_node) continue;
-      if (injector_ != nullptr &&
-          injector_->pairDegraded(src_node, node, at)) {
+      if (transport_.pairDegraded(src_node, node, at)) {
         // Per-pair degraded mode: a NIC fault window covers one of the
         // endpoint nodes, so this pair's traffic skips the leader
         // staging (a dropped aggregate would couple the whole node into
@@ -209,10 +170,10 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
         bool any = false;
         for (const auto& f : flows) {
           if (topo.nodeOf(f.dst) != node) continue;
-          last = std::max(last, reliable_direct(f));
+          last = std::max(last, put(f));
           any = true;
         }
-        if (any) injector_->recordHierFallback(at, last);
+        if (any) transport_.recordFallback(at, last);
         continue;
       }
       std::int64_t to_node = 0;
@@ -225,31 +186,32 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
       if (to_node == 0) {
         // Nothing to ship; empty puts complete at injection.
         for (const auto& f : flows) {
-          if (topo.nodeOf(f.dst) == node) log_put(f, at);
+          if (topo.nodeOf(f.dst) != node) continue;
+          if (counter != nullptr) counter->record(at, f.payload_bytes);
+          log_put(f, at);
         }
         continue;
       }
       SimTime staged = at;
       if (src != leader_s) {
-        staged = hop(src, leader_s, to_node, msgs, at);
+        staged = transport_.send(Traffic::kPut, src, leader_s, to_node, msgs,
+                                 at).acked;
       }
-      std::int64_t wire_bytes = to_node;
-      if (codec_ != nullptr && to_node % 4 == 0) {
-        wire_bytes = fabric::InterNodeCodec::compressedBytes(
-            to_node, codec_->aggregateBits(src_node, staged));
-        codec_->recordFlow(to_node, wire_bytes);
-        codec_->recordEgress(src_node, staged, wire_bytes);
-      }
-      const int leader_d = injector_ != nullptr
-                               ? injector_->leaderAt(node, staged)
-                               : topo.nodeLeader(node);
-      const SimTime landed = hop(leader_s, leader_d, wire_bytes, 1, staged);
+      const int leader_d = transport_.leaderAt(node, staged);
+      const std::int64_t wire =
+          transport_.encode(leader_s, leader_d, to_node, staged);
+      const SimTime landed =
+          transport_.send(Traffic::kPut, leader_s, leader_d, wire, 1, staged)
+              .acked;
       for (const auto& f : flows) {
         if (topo.nodeOf(f.dst) != node) continue;
         SimTime done = landed;
         if (f.dst != leader_d) {
-          done = hop(leader_d, f.dst, f.payload_bytes, f.n_messages, landed);
+          done = transport_.send(Traffic::kPut, leader_d, f.dst,
+                                 f.payload_bytes, f.n_messages, landed)
+                     .acked;
         }
+        if (counter != nullptr) counter->record(at, f.payload_bytes);
         log_put(f, done);
       }
     }
@@ -288,18 +250,6 @@ void PgasRuntime::barrierAllOnStream() {
           now, barrier_events_[static_cast<std::size_t>(peer)]);
     }
   }
-}
-
-SimTime PgasRuntime::put(int src, int dst, std::int64_t payload_bytes,
-                         std::int64_t n_messages) {
-  if (injector_ != nullptr) {
-    return injector_
-        ->reliablePut(src, dst, payload_bytes, n_messages, system_.hostNow())
-        .acked;
-  }
-  const auto d = fabric_.transfer(src, dst, payload_bytes, n_messages,
-                                  system_.hostNow());
-  return d.delivered;
 }
 
 }  // namespace pgasemb::pgas

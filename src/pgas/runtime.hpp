@@ -12,8 +12,8 @@
 #include <memory>
 #include <vector>
 
-#include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
+#include "fault/transport.hpp"
 #include "gpu/gpu_event.hpp"
 #include "gpu/kernel.hpp"
 #include "gpu/system.hpp"
@@ -24,61 +24,31 @@
 #include "simsan/access.hpp"
 #include "util/pool.hpp"
 
-namespace pgasemb::fault {
-class FaultInjector;
-}
-
 namespace pgasemb::pgas {
 
 class PgasRuntime {
  public:
-  PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric);
+  /// `transport` decides how each put leaves its node (DESIGN.md §12):
+  /// with the hierarchy armed on a multi-node topology, a slice's
+  /// inter-node flows are forwarded src -> node leader -> remote leader
+  /// -> dst, the leader->leader hop aggregated per (slice, destination
+  /// node) into one bulk message, which is what the codec encodes; quiet
+  /// covers the forwarded hops. Under an armed injector every put and
+  /// hop is delivery-tracked (quiet waits for the acknowledged
+  /// delivery), leaders follow leader-fail failover, and node pairs
+  /// inside a NIC fault window fall back to direct per-flow puts.
+  /// Comm counters and strict effects account the original payload.
+  /// A bare fabric gives the plain, fault-free, flat path.
+  PgasRuntime(gpu::MultiGpuSystem& system, fault::Transport transport);
 
   SymmetricHeap& heap() { return heap_; }
-  fabric::Fabric& fabric() { return fabric_; }
-
-  /// Attach the fault injector: every one-sided put gains delivery
-  /// tracking with timeout-driven retransmission (capped exponential
-  /// backoff), and quiet waits for the last *acknowledged* delivery —
-  /// retransmits re-enter the fabric and are counted in its
-  /// ResilienceStats.  Null (the default) keeps the original direct
-  /// path, bit-identical to a fault-free build.  Not owned; must
-  /// outlive the runtime.
-  void setFaultInjector(fault::FaultInjector* injector) {
-    injector_ = injector;
-  }
-
-  /// Route one-sided traffic hierarchically on multi-node topologies
-  /// (DESIGN.md §12): a slice's inter-node flows are forwarded
-  /// src -> node leader -> remote leader -> dst, with the
-  /// leader->leader hop aggregated per (slice, destination node) into a
-  /// single bulk message — eliminating the NIC's per-256-byte
-  /// message-rate padding.  quiet() covers the forwarded hops: kernel
-  /// completion waits for the final scatter delivery.  Ignored on
-  /// single-node topologies.  Under an armed fault injector the hops
-  /// are delivery-tracked reliable puts, leaders are elected through
-  /// the injector's node fault domains (leader-fail failover), and node
-  /// pairs inside a NIC fault window fall back to direct per-flow puts
-  /// — per-pair degraded mode, counted in ResilienceStats.
-  void setHierarchical(bool enabled) { hierarchical_ = enabled; }
-  bool hierarchical() const { return hierarchical_; }
-
-  /// Attach the inter-node compression codec: a flow whose route
-  /// crosses nodes ships InterNodeCodec::compressedBytes(payload,
-  /// aggregateBits(src node)) on the wire — per flow in flat mode, on
-  /// the aggregated leader->leader hop in hierarchical mode.  Comm
-  /// counters and strict effects keep accounting the original payload
-  /// (compression is a wire-format concern, not a protocol one).  Not
-  /// owned; must outlive the runtime.
-  void setCodec(fabric::InterNodeCodec* codec) { codec_ = codec; }
-  fabric::InterNodeCodec* codec() const { return codec_; }
+  const fault::Transport& transport() const { return transport_; }
 
   /// Master switch for the TimingOnly slice-coalescing fast path
   /// (--no-coalesce escape hatch). Even when enabled, a kernel's slices
   /// are only coalesced when it is provably result-identical: TimingOnly
-  /// mode, no simsan checker, no fault injector, no per-injection
-  /// counter, and Fabric::coalescingSafe() (dedicated pair links, no
-  /// flow observer, no armed fault windows). Default on.
+  /// mode, no simsan checker, no per-injection counter, and a
+  /// Transport::coalescable() path. Default on.
   void setCoalescingEnabled(bool enabled) { coalesce_enabled_ = enabled; }
   bool coalescingEnabled() const { return coalesce_enabled_; }
 
@@ -112,11 +82,6 @@ class PgasRuntime {
   /// The previous barrier must have completed (the host synced since).
   void barrierAllOnStream();
 
-  /// Host-initiated blocking one-sided put (control-plane uses; the data
-  /// plane goes through kernels). Returns the delivery time.
-  SimTime put(int src, int dst, std::int64_t payload_bytes,
-              std::int64_t n_messages);
-
  private:
   /// Tracks the last remote delivery of one kernel's writes for quiet.
   struct QuietState {
@@ -125,15 +90,12 @@ class PgasRuntime {
   };
 
   gpu::MultiGpuSystem& system_;
-  fabric::Fabric& fabric_;
+  fault::Transport transport_;
   SymmetricHeap heap_;
   /// One event per PE, reused by every barrierAllOnStream() call (the
   /// streams hold references, so the vector is never resized).
   std::vector<gpu::GpuEvent> barrier_events_;
   bool barrier_armed_ = false;
-  fault::FaultInjector* injector_ = nullptr;
-  fabric::InterNodeCodec* codec_ = nullptr;
-  bool hierarchical_ = false;
   bool coalesce_enabled_ = true;
   /// Recycles the per-kernel quiet records (one per attachMessagePlan'd
   /// launch) instead of hitting the allocator each time.

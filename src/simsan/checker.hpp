@@ -25,9 +25,10 @@
 // tracking adds out-of-bounds, use-after-free, double-free, and leak
 // detection on top.
 //
-// The checker is entirely passive: nothing in the simulator behaves
-// differently when it is attached, so timings (and benchmark output) are
-// byte-identical with and without it.
+// The checker is passive: nothing in the simulator behaves differently
+// when it is attached, so timings (and benchmark output) are
+// byte-identical with and without it. The one exception is a SeededBug,
+// which only a certification test arms.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +80,26 @@ struct Summary {
            leaks == 0 && undeclared_effects == 0;
   }
   std::string report() const;
+};
+
+/// Test-only protocol bugs a certification test seeds into one run to
+/// prove simsan names the race each opens. A bug is armed on the checker,
+/// never on a config or a production struct, so only a run with a
+/// checker attached can carry one, and SystemBuilder::reset() (which
+/// rebuilds the checker) disarms it.
+enum class SeededBug {
+  kNone,
+  /// Hierarchical all-to-all: the destination leader scatters when the
+  /// aggregated inter-node flow is injected instead of delivered, with no
+  /// happens-before edge from the inter flow.
+  kScatterBeforeInterflow,
+  /// Leader failover: the standby's staging rebuild writes under a
+  /// forked, never-joined actor and skips the node-wide re-quiet.
+  kRebuildWithoutRequiet,
+  /// Flap recovery: quiet latches a dropped put's loss time instead of
+  /// the acknowledged retransmit, whose write lands under a never-joined
+  /// actor.
+  kRetransmitWithoutQuiet,
 };
 
 class Checker {
@@ -148,6 +169,11 @@ class Checker {
            effect.label);
   }
 
+  // --- Seeded bugs (certification tests only) ----------------------------
+
+  void seedBug(SeededBug bug) { seeded_bug_ = bug; }
+  bool seeded(SeededBug bug) const { return seeded_bug_ == bug; }
+
   // --- Results ------------------------------------------------------------
 
   bool clean() const {
@@ -203,6 +229,7 @@ class Checker {
   int lifetime_errors_ = 0;
   int leaks_ = 0;
   std::size_t accesses_logged_ = 0;
+  SeededBug seeded_bug_ = SeededBug::kNone;
 };
 
 }  // namespace pgasemb::simsan

@@ -410,13 +410,6 @@ const engine::ServingResult& servingOf(const engine::NamedResult& run) {
   return *run.result.serving;
 }
 
-/// Sustained = the system kept up with the offered load (achieved
-/// within 5% of offered) and, when an SLO is set, met it at the tail.
-bool sustained(const engine::ServingResult& sv, double slo_ms) {
-  if (sv.achieved_qps < 0.95 * sv.offered_qps) return false;
-  return slo_ms <= 0.0 || sv.p99_ms <= slo_ms;
-}
-
 }  // namespace
 
 std::string renderServingTable(const std::vector<ServingPoint>& points) {
@@ -522,7 +515,7 @@ std::string renderServingSummary(const std::vector<ServingPoint>& points,
         for (const auto& run : p.runs) {
           if (run.retriever != named.retriever) continue;
           const auto& sv = servingOf(run);
-          if (sustained(sv, slo_ms) && p.qps > knee_qps) {
+          if (sv.sustains(slo_ms) && p.qps > knee_qps) {
             knee = &sv;
             knee_qps = p.qps;
           }

@@ -30,7 +30,9 @@
 #include "fabric/fabric.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "fault/transport.hpp"
 #include "pgas/runtime.hpp"
+#include "seeded_run.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb {
@@ -168,20 +170,25 @@ TEST(FaultPlanTest, MalformedNodeScopedSpecsFail) {
 // --- Determinism -------------------------------------------------------------
 
 // Small assembly for injector-level tests (mirrors core_test's Rig).
+// A given injector is armed against this system + fabric and wired into
+// every resilient path through the transport.
 struct Rig {
   gpu::MultiGpuSystem system;
   fabric::Fabric fabric;
+  fault::Transport transport;
   collective::Communicator comm;
   pgas::PgasRuntime runtime;
 
   explicit Rig(int gpus,
-               gpu::ExecutionMode mode = gpu::ExecutionMode::kTimingOnly)
+               gpu::ExecutionMode mode = gpu::ExecutionMode::kTimingOnly,
+               fault::FaultInjector* injector = nullptr)
       : system(makeConfig(gpus, mode)),
         fabric(system.simulator(),
                std::make_unique<fabric::NvlinkAllToAllTopology>(
                    gpus, fabric::LinkParams{})),
-        comm(system, fabric),
-        runtime(system, fabric) {}
+        transport(arm(injector, system, fabric)),
+        comm(system, transport),
+        runtime(system, transport) {}
 
   static gpu::SystemConfig makeConfig(int gpus, gpu::ExecutionMode mode) {
     gpu::SystemConfig cfg;
@@ -191,11 +198,11 @@ struct Rig {
     return cfg;
   }
 
-  /// Wires `injector` into every resilient path of this assembly.
-  void attach(fault::FaultInjector& injector) {
-    injector.arm(system, fabric);
-    runtime.setFaultInjector(&injector);
-    comm.setFaultInjector(&injector);
+  static fault::Transport arm(fault::FaultInjector* injector,
+                              gpu::MultiGpuSystem& system,
+                              fabric::Fabric& fabric) {
+    if (injector != nullptr) injector->arm(system, fabric);
+    return fault::Transport(fabric, injector);
   }
 };
 
@@ -413,7 +420,6 @@ TEST(FlapRecoveryTest, DroppedCollectiveChunksAreReissued) {
 }
 
 TEST(FlapRecoveryTest, FlapWiderThanTheRetryBudgetThrows) {
-  Rig rig(2);
   FaultPlan plan;
   FaultSpec flap;
   flap.kind = FaultKind::kLinkFlap;
@@ -421,10 +427,10 @@ TEST(FlapRecoveryTest, FlapWiderThanTheRetryBudgetThrows) {
   flap.end = SimTime::ms(100.0);  // default budget covers ~27 ms
   plan.specs.push_back(flap);
   fault::FaultInjector injector(plan);
-  rig.attach(injector);
-  EXPECT_THROW(
-      injector.reliablePut(0, 1, 1 << 20, 16, SimTime::zero()),
-      Error);
+  Rig rig(2, gpu::ExecutionMode::kTimingOnly, &injector);
+  EXPECT_THROW(rig.transport.send(fault::Transport::Traffic::kPut, 0, 1,
+                                  1 << 20, 16, SimTime::zero()),
+               Error);
 }
 
 TEST(FlapRecoveryTest, SeededFlapWindowsAreClampedToTheRetryBudget) {
@@ -432,7 +438,6 @@ TEST(FlapRecoveryTest, SeededFlapWindowsAreClampedToTheRetryBudget) {
   // run-length horizon the raw draw (10-30% of it) would dwarf the
   // ~27 ms retry budget. The seeded draw clamps flap width to half the
   // budget, so any horizon yields a survivable outage.
-  Rig rig(2);
   FaultPlan plan;
   plan.seed = 3;
   plan.horizon = SimTime::ms(400.0);
@@ -442,7 +447,7 @@ TEST(FlapRecoveryTest, SeededFlapWindowsAreClampedToTheRetryBudget) {
   flap.b = 1;
   plan.specs.push_back(flap);
   fault::FaultInjector injector(plan);
-  rig.attach(injector);
+  Rig rig(2, gpu::ExecutionMode::kTimingOnly, &injector);
   const auto& m = injector.materialized();
   ASSERT_EQ(m.size(), 1u);
   EXPECT_LE(m[0].end - m[0].start, SimTime::ms(14.0));  // ~half of ~27.5
@@ -517,10 +522,9 @@ TEST(FunctionalUnderFaultsTest, BaselineOutputsStayExactThroughMidRunFaults) {
   flap.end = flap.start + timings[1].comm_phase * 2.0;
   plan.specs.push_back(flap);
 
-  Rig rig(gpus, gpu::ExecutionMode::kFunctional);
-  emb::ShardedEmbeddingLayer layer(rig.system, functionalSpec());
   fault::FaultInjector injector(plan);
-  rig.attach(injector);
+  Rig rig(gpus, gpu::ExecutionMode::kFunctional, &injector);
+  emb::ShardedEmbeddingLayer layer(rig.system, functionalSpec());
   core::CollectiveRetriever baseline(layer, rig.comm);
   runFunctional(layer, baseline, gpus, 3);  // asserts outputs == reference
   EXPECT_GT(injector.stats().dropped_flows, 0);
@@ -550,10 +554,9 @@ TEST(FunctionalUnderFaultsTest, PgasOutputsStayExactThroughMidRunFaults) {
   flap.end = flap.start + timings[1].compute_phase * 2.0;
   plan.specs.push_back(flap);
 
-  Rig rig(gpus, gpu::ExecutionMode::kFunctional);
-  emb::ShardedEmbeddingLayer layer(rig.system, functionalSpec());
   fault::FaultInjector injector(plan);
-  rig.attach(injector);
+  Rig rig(gpus, gpu::ExecutionMode::kFunctional, &injector);
+  emb::ShardedEmbeddingLayer layer(rig.system, functionalSpec());
   core::PgasFusedRetriever pgas(layer, rig.runtime, {});
   runFunctional(layer, pgas, gpus, 3);  // asserts outputs == reference
   EXPECT_GT(injector.stats().dropped_flows, 0);
@@ -706,7 +709,7 @@ TEST(SimsanBugSeedTest, RetransmitWithoutRequietIsCaughtByName) {
   // The seeded bug: the retransmit path lands the recovered put without
   // re-arming quiet, so the kernel can "complete" before the write is
   // visible. simsan must flag it — and the identical plan without the
-  // bug knob must stay clean (the pair is the certification).
+  // bug must stay clean (the pair is the certification).
   const int gpus = 2;
   const auto clean = engine::ScenarioRunner(quickWeak(gpus, 3)).run("pgas_fused");
   auto cfg = quickWeak(gpus, 3);
@@ -714,14 +717,15 @@ TEST(SimsanBugSeedTest, RetransmitWithoutRequietIsCaughtByName) {
   cfg.faults.specs.push_back(
       flapInsideBatch(clean, 1, /*in_comm_phase=*/false));
 
-  const auto fixed = engine::ScenarioRunner(cfg).run("pgas_fused");
+  const auto fixed = engine::runWithSeededBug(cfg, "pgas_fused",
+                                              simsan::SeededBug::kNone);
   ASSERT_TRUE(fixed.sanitizer.has_value());
   ASSERT_TRUE(fixed.resilience.has_value());
   ASSERT_GT(fixed.resilience->retransmits, 0);  // the bug path would run
   EXPECT_TRUE(fixed.sanitizer->clean()) << fixed.sanitizer->report();
 
-  cfg.faults.bug_retransmit_without_quiet = true;
-  const auto buggy = engine::ScenarioRunner(cfg).run("pgas_fused");
+  const auto buggy = engine::runWithSeededBug(
+      cfg, "pgas_fused", simsan::SeededBug::kRetransmitWithoutQuiet);
   ASSERT_TRUE(buggy.sanitizer.has_value());
   EXPECT_FALSE(buggy.sanitizer->clean());
   bool named = false;

@@ -24,6 +24,7 @@
 #include "engine/scenario_runner.hpp"
 #include "fabric/compression.hpp"
 #include "fault/plan.hpp"
+#include "seeded_run.hpp"
 
 namespace pgasemb::engine {
 namespace {
@@ -424,10 +425,6 @@ TEST(CompressionTest, ValidationRejectsInconsistentFlags) {
   adaptive_without_bound.compress_adaptive = true;
   EXPECT_THROW(adaptive_without_bound.validate(), Error);
 
-  ExperimentConfig bug_without_hier = sweepConfig(2, 2);
-  bug_without_hier.hier_bug_scatter = true;
-  EXPECT_THROW(bug_without_hier.validate(), Error);
-
   ExperimentConfig negative_bound = sweepConfig(2, 2);
   negative_bound.compress_bound = -1e-3;
   EXPECT_THROW(negative_bound.validate(), Error);
@@ -500,16 +497,11 @@ TEST(NodeFaultDomainTest, ValidationRejectsIllFormedNodeFaultLayouts) {
   single.num_batches = 2;
   single.faults = fault::FaultPlan::parse("nic-degrade:0:0.5", 7);
   EXPECT_THROW(single.validate(), Error);
-  // ...leader failover needs a healthy standby GPU on the node...
+  // ...and leader failover needs a healthy standby GPU on the node.
   ExperimentConfig thin = sweepConfig(2, 1);
   thin.hierarchical_a2a = true;
   thin.faults = fault::FaultPlan::parse("leader-fail:0", 7);
   EXPECT_THROW(thin.validate(), Error);
-  // ...and the seeded rebuild bug only makes sense with the hierarchy.
-  ExperimentConfig no_hier = sweepConfig(2, 2);
-  no_hier.faults = fault::FaultPlan::parse("leader-fail:0", 7);
-  no_hier.faults.bug_rebuild_without_requiet = true;
-  EXPECT_THROW(no_hier.validate(), Error);
   // The well-formed variants pass.
   EXPECT_NO_THROW(faultedConfig(2, 2, "leader-fail:0").validate());
 }
@@ -639,14 +631,16 @@ TEST(MultiNodeSimsanTest, SeededRebuildWithoutRequietIsCaughtByName) {
       faultedConfig(2, 2, "leader-fail:0:0.0-1000000.0");
   cfg.simsan = true;
 
-  const ExperimentResult fixed = ScenarioRunner(cfg).run("nccl_collective");
+  const ExperimentResult fixed =
+      runWithSeededBug(cfg, "nccl_collective", simsan::SeededBug::kNone);
   ASSERT_TRUE(fixed.sanitizer.has_value());
   ASSERT_TRUE(fixed.resilience.has_value());
   ASSERT_GT(fixed.resilience->staging_rebuilds, 0);  // the bug path ran
   EXPECT_TRUE(fixed.sanitizer->clean()) << fixed.sanitizer->report();
 
-  cfg.faults.bug_rebuild_without_requiet = true;
-  const ExperimentResult buggy = ScenarioRunner(cfg).run("nccl_collective");
+  const ExperimentResult buggy =
+      runWithSeededBug(cfg, "nccl_collective",
+                       simsan::SeededBug::kRebuildWithoutRequiet);
   ASSERT_TRUE(buggy.sanitizer.has_value());
   const auto& s = *buggy.sanitizer;
   EXPECT_FALSE(s.clean());
@@ -661,14 +655,20 @@ TEST(MultiNodeSimsanTest, SeededScatterBeforeInterFlowIsFlagged) {
   // The seeded bug launches each leader's scatter at the moment its
   // gather staging is ready instead of waiting for the aggregated
   // inter-node flow to land: the scatter's staging read races the
-  // inter-flow's remote write, and the report names both sides.
+  // inter-flow's remote write, and the report names both sides. The
+  // same run without the bug is clean.
   ExperimentConfig cfg = sweepConfig(2, 2);
   cfg.num_batches = 1;
   cfg.hierarchical_a2a = true;
-  cfg.hier_bug_scatter = true;
   cfg.simsan = true;
-  ScenarioRunner runner(cfg);
-  const ExperimentResult r = runner.run("nccl_collective");
+  const ExperimentResult fixed =
+      runWithSeededBug(cfg, "nccl_collective", simsan::SeededBug::kNone);
+  ASSERT_TRUE(fixed.sanitizer.has_value());
+  EXPECT_TRUE(fixed.sanitizer->clean()) << fixed.sanitizer->report();
+
+  const ExperimentResult r =
+      runWithSeededBug(cfg, "nccl_collective",
+                       simsan::SeededBug::kScatterBeforeInterflow);
   ASSERT_TRUE(r.sanitizer.has_value());
   const auto& s = *r.sanitizer;
   EXPECT_GT(s.races, 0) << s.report();
