@@ -144,8 +144,9 @@ inline void addSimsanFlag(CliParser& cli) {
 /// Applies --simsan / --simsan-strict to a config.
 inline void applySimsanFlags(const CliParser& cli,
                              engine::ExperimentConfig& cfg) {
-  cfg.simsan = cli.getBool("simsan");
-  cfg.simsan_strict = cli.getBool("simsan-strict");
+  cfg.simsan = cli.getBool("simsan-strict") ? engine::SimsanMode::kStrict
+               : cli.getBool("simsan")      ? engine::SimsanMode::kChecker
+                                            : engine::SimsanMode::kOff;
 }
 
 /// Registers the shared replica-cache flags. Defaults (0, 0.0) keep

@@ -37,9 +37,7 @@ int aggregator(CliParser& cli, int argc, char** argv) {
         cli.getDouble("nic-gbps") * 1e9;
     cfg.inter_node_link.max_messages_per_sec =
         cli.getDouble("nic-msg-rate");
-    cfg.use_aggregator = use_agg;
-    cfg.aggregator.aggregation_bytes = agg_bytes;
-    cfg.aggregator.max_wait = max_wait;
+    if (use_agg) cfg.aggregator = pgas::AggregatorParams{agg_bytes, max_wait};
     return cfg;
   };
 

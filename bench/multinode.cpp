@@ -287,9 +287,7 @@ int multinode(CliParser& cli, int argc, char** argv) {
     cfg.num_batches = static_cast<int>(cli.getInt("batches"));
     applyInterNodeLink(cfg, nodes);
     applyMultinodeFlags(cli, cfg);
-    cfg.use_aggregator = agg;
-    cfg.aggregator.aggregation_bytes = 64 * 1024;
-    cfg.aggregator.max_wait = SimTime::us(50.0);
+    if (agg) cfg.aggregator = pgas::AggregatorParams{};
     return cfg;
   };
 

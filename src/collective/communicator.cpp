@@ -5,6 +5,12 @@
 #include "util/expect.hpp"
 
 namespace pgasemb::collective {
+namespace {
+
+/// NCCL-style pipeline chunk size of every chunked collective transfer.
+constexpr std::int64_t kChunkBytes = 4 * 1024 * 1024;
+
+}  // namespace
 
 Communicator::Communicator(gpu::MultiGpuSystem& system,
                            fault::Transport transport,
@@ -25,13 +31,12 @@ SimTime Communicator::sendLogical(int src, int dst, std::int64_t bytes,
 }
 
 SimTime Communicator::sendChunked(int from, int to, std::int64_t bytes,
-                                  SimTime& inject_at,
-                                  const ChunkingParams& chunking, Leg leg) {
+                                  SimTime& inject_at, Leg leg) {
   const SimTime chunk_overhead =
       system_.costModel().collective_chunk_overhead;
   SimTime done = inject_at;
   for (std::int64_t remaining = bytes; remaining > 0;) {
-    const std::int64_t chunk = std::min(remaining, chunking.chunk_bytes);
+    const std::int64_t chunk = std::min(remaining, kChunkBytes);
     inject_at += chunk_overhead;  // proxy progression per chunk
     const SimTime delivered =
         leg == Leg::kLogical
@@ -271,8 +276,7 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
 SimTime Communicator::hierarchicalInject(
     int src, SimTime start,
     const std::vector<std::vector<std::int64_t>>& matrix,
-    const ChunkingParams& chunking, const HierRouting& routing,
-    detail::CollectiveState& state) {
+    const HierRouting& routing, detail::CollectiveState& state) {
   auto& topo = transport_.fabric().topology();
   const int n = system_.numGpus();
   const int nodes = topo.numNodes();
@@ -304,7 +308,7 @@ SimTime Communicator::hierarchicalInject(
     SimTime at = start;
     last = std::max(last, sendChunked(src, dst,
                                       row(src)[static_cast<std::size_t>(dst)],
-                                      at, chunking, Leg::kLogical));
+                                      at, Leg::kLogical));
     inject_at = std::max(inject_at, at);
   }
   // Per-pair degraded mode (DESIGN.md §13): node pairs inside a NIC
@@ -321,9 +325,9 @@ SimTime Communicator::hierarchicalInject(
     for (int dst = base_d; dst < base_d + topo.gpusPerNode(); ++dst) {
       const std::int64_t bytes = row(src)[static_cast<std::size_t>(dst)];
       SimTime at = start;
-      fallback_last = std::max(
-          fallback_last, sendChunked(src, dst, bytes, at, chunking,
-                                     Leg::kLogical));
+      fallback_last =
+          std::max(fallback_last, sendChunked(src, dst, bytes, at,
+                                              Leg::kLogical));
       any = any || bytes > 0;
     }
     last = std::max(last, fallback_last);
@@ -354,8 +358,7 @@ SimTime Communicator::hierarchicalInject(
     SimTime delivered = inject_at;
     if (to_node > 0 && src != my_leader) {
       if (!gathered) gather_first = inject_at;
-      delivered = sendChunked(src, my_leader, to_node, inject_at, chunking,
-                              Leg::kHop);
+      delivered = sendChunked(src, my_leader, to_node, inject_at, Leg::kHop);
       gather_last = std::max(gather_last, delivered);
       gathered = true;
     }
@@ -367,8 +370,7 @@ SimTime Communicator::hierarchicalInject(
     last = std::max(last, delivered);
     if (pair.contributions == topo.gpusPerNode() && pair.raw_bytes > 0) {
       last = std::max(last, injectInterAndScatter(my_node, dst_node, pair,
-                                                  matrix, chunking, routing,
-                                                  state));
+                                                  matrix, routing, state));
     }
   }
   // One staging-slot write record per member (the leader's own slot is
@@ -385,8 +387,7 @@ SimTime Communicator::hierarchicalInject(
 SimTime Communicator::injectInterAndScatter(
     int src_node, int dst_node, const detail::HierPair& pair,
     const std::vector<std::vector<std::int64_t>>& matrix,
-    const ChunkingParams& chunking, const HierRouting& routing,
-    detail::CollectiveState& state) {
+    const HierRouting& routing, detail::CollectiveState& state) {
   auto& topo = transport_.fabric().topology();
   auto* san = system_.sanitizer();
   // Elected leaders run the staging endpoints; the topology defaults
@@ -405,8 +406,7 @@ SimTime Communicator::injectInterAndScatter(
   // at full fraction (contrast protoEff() on the flat path).
   SimTime inject_at = pair.ready;
   const SimTime inter_done =
-      sendChunked(leader_s, leader_d, wire_bytes, inject_at, chunking,
-                  Leg::kBulk);
+      sendChunked(leader_s, leader_d, wire_bytes, inject_at, Leg::kBulk);
   if (log) {
     state.hier_inters.push_back({src_node, dst_node, pair.ready, inter_done});
   }
@@ -426,7 +426,7 @@ SimTime Communicator::injectInterAndScatter(
     SimTime done = scatter_start;
     if (dst != leader_d) {
       SimTime at = scatter_start;
-      done = sendChunked(leader_d, dst, bytes, at, chunking, Leg::kHop);
+      done = sendChunked(leader_d, dst, bytes, at, Leg::kHop);
     }
     last = std::max(last, done);
     if (log) {
@@ -528,7 +528,7 @@ void Communicator::maybeRebuildStaging(SimTime at) {
 
 Request Communicator::allToAllSingle(
     const std::vector<std::vector<std::int64_t>>& send_bytes,
-    std::function<void()> on_complete, const ChunkingParams& chunking,
+    std::function<void()> on_complete,
     const std::vector<gpu::Stream*>* streams,
     const CollectiveMemory* memory) {
   const int n = system_.numGpus();
@@ -538,7 +538,6 @@ Request Communicator::allToAllSingle(
     PGASEMB_CHECK(static_cast<int>(row.size()) == n,
                   "send_bytes rows must have one entry per GPU");
   }
-  PGASEMB_CHECK(chunking.chunk_bytes > 0, "chunk size must be positive");
 
   auto matrix = send_bytes;  // keep alive in the closure
   // Routing is decided once per collective, at launch (host) time: all
@@ -552,11 +551,10 @@ Request Communicator::allToAllSingle(
   }
   return launch(
       "all_to_all_single",
-      [this, matrix, chunking, routing](int src, SimTime start,
-                                        detail::CollectiveState& state) {
+      [this, matrix, routing](int src, SimTime start,
+                              detail::CollectiveState& state) {
         if (routing != nullptr) {
-          return hierarchicalInject(src, start, matrix, chunking, *routing,
-                                    state);
+          return hierarchicalInject(src, start, matrix, *routing, state);
         }
         SimTime last = start;
         for (int dst = 0; dst < system_.numGpus(); ++dst) {
@@ -566,15 +564,14 @@ Request Communicator::allToAllSingle(
               last, sendChunked(src, dst,
                                 matrix[static_cast<std::size_t>(src)]
                                       [static_cast<std::size_t>(dst)],
-                                inject_at, chunking, Leg::kLogical));
+                                inject_at, Leg::kLogical));
         }
         return last;
       },
       std::move(on_complete), streams, memory);
 }
 
-Request Communicator::allReduce(std::int64_t total_bytes,
-                                std::function<void()> on_complete) {
+Request Communicator::allReduce(std::int64_t total_bytes) {
   PGASEMB_CHECK(total_bytes >= 0, "negative all-reduce size");
   const int n = system_.numGpus();
   const std::int64_t block = n > 0 ? total_bytes / n : 0;
@@ -589,12 +586,11 @@ Request Communicator::allReduce(std::int64_t total_bytes,
         }
         return t;
       },
-      std::move(on_complete));
+      nullptr);
 }
 
 Request Communicator::ringShiftRounds(std::int64_t bytes_per_round,
-                                      int rounds,
-                                      std::function<void()> on_complete) {
+                                      int rounds) {
   PGASEMB_CHECK(bytes_per_round >= 0 && rounds >= 0, "bad ring-shift spec");
   const int n = system_.numGpus();
   const SimTime round_sync =
@@ -614,7 +610,7 @@ Request Communicator::ringShiftRounds(std::int64_t bytes_per_round,
         }
         return t;
       },
-      std::move(on_complete));
+      nullptr);
 }
 
 }  // namespace pgasemb::collective

@@ -20,11 +20,6 @@
 
 namespace pgasemb::collective {
 
-struct ChunkingParams {
-  /// NCCL-style pipeline chunk size.
-  std::int64_t chunk_bytes = 4 * 1024 * 1024;
-};
-
 /// Per-node staging buffer ranges of the hierarchical all-to-all,
 /// declared by the builder so simsan can log the gather/scatter
 /// interleavings.  Empty when no checker is attached.
@@ -87,21 +82,18 @@ class Communicator {
   Request allToAllSingle(
       const std::vector<std::vector<std::int64_t>>& send_bytes,
       std::function<void()> on_complete = nullptr,
-      const ChunkingParams& chunking = {},
       const std::vector<gpu::Stream*>* streams = nullptr,
       const CollectiveMemory* memory = nullptr);
 
   /// Ring all-reduce = reduce-scatter + all-gather, 2(p-1) steps.
-  Request allReduce(std::int64_t total_bytes,
-                    std::function<void()> on_complete = nullptr);
+  Request allReduce(std::int64_t total_bytes);
 
   /// `rounds` rounds in which every GPU ships `bytes_per_round` to its
   /// ring successor, with a full synchronization between rounds.  This is
   /// the baseline gradient-aggregation pattern of the EMB backward pass
   /// the paper's future-work section describes ("multiple rounds of
   /// collective calls, where embeddings are shifted to the next GPU").
-  Request ringShiftRounds(std::int64_t bytes_per_round, int rounds,
-                          std::function<void()> on_complete = nullptr);
+  Request ringShiftRounds(std::int64_t bytes_per_round, int rounds);
 
  private:
   /// Shared scaffolding: enqueue one op per device; `inject(src, start,
@@ -150,8 +142,7 @@ class Communicator {
   SimTime hierarchicalInject(
       int src, SimTime start,
       const std::vector<std::vector<std::int64_t>>& matrix,
-      const ChunkingParams& chunking, const HierRouting& routing,
-      detail::CollectiveState& state);
+      const HierRouting& routing, detail::CollectiveState& state);
 
   /// Inject the aggregated (src_node → dst_node) inter flow at the
   /// pair's ready time, then the destination-side scatter; returns the
@@ -159,8 +150,7 @@ class Communicator {
   SimTime injectInterAndScatter(
       int src_node, int dst_node, const detail::HierPair& pair,
       const std::vector<std::vector<std::int64_t>>& matrix,
-      const ChunkingParams& chunking, const HierRouting& routing,
-      detail::CollectiveState& state);
+      const HierRouting& routing, detail::CollectiveState& state);
 
   /// NCCL protocol efficiency applied to all collective wire traffic
   /// (staging copies, handshakes) — see CostModel.
@@ -184,13 +174,12 @@ class Communicator {
     kBulk,     ///< the aggregated leader -> leader RDMA, at full fraction
   };
 
-  /// Ships `bytes` from `from` to `to` in pipeline chunks, each injected
-  /// one proxy overhead after the previous (`inject_at` advances).
-  /// Returns the last delivery (`inject_at` when there is nothing to
-  /// send).
+  /// Ships `bytes` from `from` to `to` in 4 MiB NCCL-style pipeline
+  /// chunks, each injected one proxy overhead after the previous
+  /// (`inject_at` advances). Returns the last delivery (`inject_at` when
+  /// there is nothing to send).
   SimTime sendChunked(int from, int to, std::int64_t bytes,
-                      SimTime& inject_at, const ChunkingParams& chunking,
-                      Leg leg);
+                      SimTime& inject_at, Leg leg);
 
   gpu::MultiGpuSystem& system_;
   fault::Transport transport_;

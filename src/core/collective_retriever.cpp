@@ -223,7 +223,7 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   auto request = comm_.allToAllSingle(
       matrix, functional ? [this] { copyAllToAllPayload(); }
                          : std::function<void()>(),
-      {}, nullptr, san != nullptr ? &a2a_memory : nullptr);
+      nullptr, san != nullptr ? &a2a_memory : nullptr);
   const SimTime t2 = request.wait(system);
   timing.comm_phase = t2 - t1;
   timing.wire_time = request.completionTime() - request.startTime();

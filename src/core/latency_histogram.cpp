@@ -28,14 +28,6 @@ void LatencyHistogram::add(SimTime latency) {
   sum_ += latency;
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-}
-
 double LatencyHistogram::meanMs() const {
   return count_ ? sum_.toMs() / static_cast<double>(count_) : 0.0;
 }

@@ -29,7 +29,6 @@ class LatencyHistogram {
   LatencyHistogram();
 
   void add(SimTime latency);
-  void merge(const LatencyHistogram& other);
 
   std::int64_t count() const { return count_; }
   SimTime min() const { return count_ ? min_ : SimTime::zero(); }

@@ -102,7 +102,7 @@ BatchTiming PgasFusedRetriever::runBatch(const emb::SparseBatch& batch) {
         row_wise ? nullptr : transport.codec(),
         transport.fabric().topology().gpusPerNode());
     runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                               options_.counter, options_.aggregator,
+                               options_.aggregator,
                                std::move(fused.remote_writes));
     system.launchKernel(g, std::move(fused.desc));
   }

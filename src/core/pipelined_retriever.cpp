@@ -36,6 +36,7 @@ PipelinedCollectiveRetriever::PipelinedCollectiveRetriever(
   for (int g = 0; g < p; ++g) {
     comm_streams_.push_back(&system.createStream(g, "comm"));
   }
+  slot_free_.resize(static_cast<std::size_t>(p));
 }
 
 PipelinedCollectiveRetriever::~PipelinedCollectiveRetriever() {
@@ -77,14 +78,14 @@ BatchTiming PipelinedCollectiveRetriever::runBatch(
   // the send buffer before the new lookup overwrites it.  Batches whose
   // events were released at a drain() are fully complete — their slot
   // needs no wait.
-  gpu::GpuEvent* slot_free[64] = {};
+  std::fill(slot_free_.begin(), slot_free_.end(), nullptr);
   if (submitted_ >= depth_ && submitted_ - depth_ >= events_base_batch_) {
     const std::size_t old_base =
         static_cast<std::size_t>(submitted_ - depth_ - events_base_batch_) *
         2 * static_cast<std::size_t>(p);
     for (int g = 0; g < p; ++g) {
-      slot_free[g] = events_[old_base + static_cast<std::size_t>(p + g)]
-                         .get();
+      slot_free_[static_cast<std::size_t>(g)] =
+          events_[old_base + static_cast<std::size_t>(p + g)].get();
     }
   }
 
@@ -125,8 +126,8 @@ BatchTiming PipelinedCollectiveRetriever::runBatch(
       }
     }
     auto& stream = system.stream(g);
-    if (slot_free[g] != nullptr) {
-      stream.enqueueWaitEvent(system.hostNow(), *slot_free[g]);
+    if (auto* free = slot_free_[static_cast<std::size_t>(g)]) {
+      stream.enqueueWaitEvent(system.hostNow(), *free);
     }
     system.launchKernel(g, std::move(kernel.desc));
     stream.enqueueRecord(system.hostNow(), kernel_done(g));
@@ -154,7 +155,7 @@ BatchTiming PipelinedCollectiveRetriever::runBatch(
       rank.recv = wholeBuffer(slot.recv[static_cast<std::size_t>(g)]);
     }
   }
-  comm_.allToAllSingle(matrix, nullptr, {}, &comm_streams_,
+  comm_.allToAllSingle(matrix, nullptr, &comm_streams_,
                        san != nullptr ? &a2a_memory : nullptr);
   for (int g = 0; g < p; ++g) {
     comm_streams_[static_cast<std::size_t>(g)]->enqueueRecord(

@@ -71,6 +71,9 @@ class PipelinedCollectiveRetriever final : public EmbeddingRetriever {
   std::unique_ptr<emb::CacheFilter> pending_filter_;
   std::vector<Slot> slots_;
   std::vector<gpu::Stream*> comm_streams_;  // one per GPU
+  // Per GPU, this batch's wait before its lookup overwrites the slot:
+  // the all-to-all of the batch that last used the slot (null = none).
+  std::vector<gpu::GpuEvent*> slot_free_;
   // Events live until drain (the simulator may still reference them).
   // A full drain() retires every reference, so the table is released
   // there (see events_base_batch_) instead of growing for the whole run.

@@ -101,13 +101,6 @@ std::vector<std::vector<float>> Mlp::forwardActivations(
   return acts;
 }
 
-void Mlp::Gradients::accumulate(const Gradients& other) {
-  for (std::size_t l = 0; l < w.size(); ++l) {
-    for (std::size_t k = 0; k < w[l].size(); ++k) w[l][k] += other.w[l][k];
-    for (std::size_t k = 0; k < b[l].size(); ++k) b[l][k] += other.b[l][k];
-  }
-}
-
 Mlp::Gradients Mlp::zeroGradients() const {
   Gradients g;
   const int layers = static_cast<int>(config_.layer_dims.size());

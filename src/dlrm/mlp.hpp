@@ -56,8 +56,6 @@ class Mlp {
     std::vector<std::vector<float>> w;
     /// b[l][i].
     std::vector<std::vector<float>> b;
-
-    void accumulate(const Gradients& other);
   };
   Gradients zeroGradients() const;
 

@@ -51,6 +51,7 @@ struct GpuLookupWork {
   std::vector<std::int64_t> outputs_to;
 
   std::int64_t totalOutputs() const;
+  // pgaslint:allow(unused-decl) test oracle for the expected wire bytes
   std::int64_t remoteOutputs(int self) const;
 };
 
@@ -95,6 +96,7 @@ class ShardedEmbeddingLayer {
   /// The full expected output tensor of GPU `gpu`
   /// ([mini-batch sample][table][col]) computed serially — the oracle for
   /// both retriever implementations.
+  // pgaslint:allow(unused-decl) the serial test oracle
   std::vector<float> referenceOutput(const SparseBatch& batch,
                                      int gpu) const;
 

@@ -39,6 +39,7 @@ class ReplicaCache {
   ReplicaCache& operator=(const ReplicaCache&) = delete;
 
   ShardedEmbeddingLayer& layer() const { return layer_; }
+  // pgaslint:allow(unused-decl) tests check the capacity clamp
   std::int64_t capacityRows() const { return capacity_rows_; }
 
   /// Frequency-ranked admission: raw index r is replicated iff r <
@@ -89,7 +90,6 @@ class CacheFilter {
 
   double lookups() const { return lookups_; }  ///< total raw indices
   double hits() const { return hits_; }        ///< indices served locally
-  double hitRate() const { return lookups_ > 0.0 ? hits_ / lookups_ : 0.0; }
 
   /// Exchange payload bytes the served bags would have put on the wire.
   double savedWireBytes() const { return saved_wire_bytes_; }

@@ -107,6 +107,7 @@ struct QuerySizeSpec {
   std::int64_t hi = 1;
   double alpha = 1.0;  ///< kZipf only
 
+  // pgaslint:allow(unused-decl) analytic oracle of the size sampler tests
   double meanSize() const;
 };
 

@@ -15,18 +15,6 @@ ShedPolicy parseShedPolicy(const std::string& name) {
   return ShedPolicy::kBlock;
 }
 
-std::string formatShedPolicy(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kBlock:
-      return "block";
-    case ShedPolicy::kShedOldest:
-      return "shed-oldest";
-    case ShedPolicy::kShedNewest:
-      return "shed-newest";
-  }
-  return "block";
-}
-
 AdmissionController::AdmissionController(AdmissionParams params)
     : params_(params), window_(params.window) {
   PGASEMB_CHECK(params_.queue_limit >= 0, "admit-queue must be >= 0");

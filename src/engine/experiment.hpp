@@ -46,7 +46,6 @@ enum class ShedPolicy {
 /// Parses "block" / "shed-oldest" / "shed-newest" (throws
 /// InvalidArgumentError otherwise).
 ShedPolicy parseShedPolicy(const std::string& name);
-std::string formatShedPolicy(ShedPolicy policy);
 
 /// Open-loop serving front end (ServingRunner): a timestamped query
 /// stream feeding a dynamic batcher in front of the retriever. Default
@@ -98,6 +97,19 @@ struct ServingConfig {
   }
 };
 
+/// How much simsan checking a run gets. Purely observational: timings
+/// and outputs are unchanged in every mode.
+enum class SimsanMode {
+  kOff,
+  /// --simsan: the happens-before/bounds/lifetime checker.
+  kChecker,
+  /// --simsan-strict: the checker, plus strict effects — record the
+  /// simulated-memory ranges each kernel/transfer actually touches and
+  /// fail the run when an access escapes the declared MemEffect
+  /// footprint.
+  kStrict,
+};
+
 struct ExperimentConfig {
   emb::EmbLayerSpec layer;
   int num_gpus = 4;
@@ -108,8 +120,8 @@ struct ExperimentConfig {
   fabric::LinkParams link;  ///< defaults = V100 NVLink
   emb::ShardingScheme sharding = emb::ShardingScheme::kTableWise;
   int pgas_slices = 128;
-  bool use_aggregator = false;
-  pgas::AggregatorParams aggregator;
+  /// Async aggregator for the PGAS puts (paper §V); unset = raw stores.
+  std::optional<pgas::AggregatorParams> aggregator;
   /// In-flight batches for the pipelined collective strategy.
   int pipeline_depth = 2;
   /// Hot-row replica cache capacity per table per GPU (rows); 0 disables
@@ -150,14 +162,7 @@ struct ExperimentConfig {
   /// wall-clock differs.
   bool coalesce_flows = true;
   std::uint64_t batch_seed = 0xbeef;
-  /// Attach the simsan happens-before/bounds/lifetime checker to the
-  /// run. Purely observational: timings and outputs are unchanged.
-  bool simsan = false;
-  /// Strict-effects mode (--simsan-strict, implies `simsan`): record the
-  /// simulated-memory ranges each kernel/transfer actually touches and
-  /// fail the run when an access escapes the declared MemEffect
-  /// footprint. Purely observational: timings and outputs are unchanged.
-  bool simsan_strict = false;
+  SimsanMode simsan = SimsanMode::kOff;
   /// Deterministic fault plan (--faults/--fault-seed). Empty = no
   /// injector is built and every code path stays bit-identical to a
   /// fault-free build.
@@ -314,7 +319,7 @@ struct ExperimentResult {
   double lookup_compute_throughput = 0.0;
   double lookup_memory_throughput = 0.0;
 
-  /// simsan verdict; populated only when ExperimentConfig::simsan is on.
+  /// simsan verdict; populated unless ExperimentConfig::simsan is kOff.
   std::optional<simsan::Summary> sanitizer;
 
   /// Resilience accounting; populated only when a fault plan was armed

@@ -37,8 +37,6 @@ class LoadGenerator {
   /// `num_queries` have been produced.
   std::optional<Query> next();
 
-  std::int64_t produced() const { return produced_; }
-
  private:
   SimTime nextArrival();
 

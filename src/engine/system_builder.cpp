@@ -50,10 +50,10 @@ void SystemBuilder::build() {
   // replica cache larger than device memory) is a usage error, not an
   // out-of-memory abort halfway through the assembly.
   config_.validate();
-  if (config_.simsan || config_.simsan_strict) {
+  if (config_.simsan != SimsanMode::kOff) {
     sanitizer_ = std::make_unique<simsan::Checker>();
   }
-  if (config_.simsan_strict) {
+  if (config_.simsan == SimsanMode::kStrict) {
     strict_ = std::make_unique<simsan::StrictEffects>();
   }
   gpu::SystemConfig sys_cfg;
@@ -225,7 +225,7 @@ collective::HierarchicalParams SystemBuilder::buildHierStaging(
 core::SystemContext SystemBuilder::context() {
   core::SystemContext ctx{*system_, *fabric_, *comm_, *runtime_, *layer_};
   ctx.pgas_slices = config_.pgas_slices;
-  ctx.aggregator = config_.use_aggregator ? &config_.aggregator : nullptr;
+  ctx.aggregator = config_.aggregator ? &*config_.aggregator : nullptr;
   ctx.pipeline_depth = config_.pipeline_depth;
   ctx.cache = cache_.get();
   return ctx;

@@ -72,11 +72,11 @@ class SystemBuilder {
   emb::ReplicaCache* cache() { return cache_.get(); }
 
   /// The simsan checker attached to the current assembly, or nullptr
-  /// when ExperimentConfig::simsan is off. Invalidated by reset().
+  /// when ExperimentConfig::simsan is kOff. Invalidated by reset().
   simsan::Checker* sanitizer() { return sanitizer_.get(); }
 
-  /// The strict-effects recorder, or nullptr when
-  /// ExperimentConfig::simsan_strict is off. Invalidated by reset().
+  /// The strict-effects recorder, or nullptr unless
+  /// ExperimentConfig::simsan is kStrict. Invalidated by reset().
   simsan::StrictEffects* strictEffects() { return strict_.get(); }
 
   /// The armed fault injector of the current assembly, or nullptr when

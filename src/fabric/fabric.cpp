@@ -41,9 +41,6 @@ Fabric::Delivery Fabric::transfer(int src, int dst,
         hop_latency += link->extraLatencyAt(grant.end);
         if (link->flapOverlaps(grant.start, grant.end + hop_latency)) {
           // The flow is lost on this hop; later hops never see it.
-          link->recordDrop(payload_bytes);
-          ++dropped_flows_;
-          dropped_payload_bytes_ += payload_bytes;
           d.dropped = true;
           d.delivered = grant.end;
           break;
@@ -101,8 +98,6 @@ void Fabric::reset() {
   delivered_.reset();
   total_payload_bytes_ = 0;
   total_messages_ = 0;
-  dropped_flows_ = 0;
-  dropped_payload_bytes_ = 0;
   for (Link* link : topology_->links()) link->reset();
 }
 

@@ -53,7 +53,9 @@ class Fabric {
                     std::function<void(SimTime)> on_delivered = nullptr,
                     double bandwidth_fraction = 1.0);
 
-  /// Bytes put on the wire over time (payload only), all flows.
+  /// Bytes put on the wire over time (payload only), all flows: the
+  /// issue-time view of the paper's comm counter (Figs 7/10).
+  // pgaslint:allow(unused-decl) tests certify every put lands in it
   const TimeSeriesCounter& injectionCounter() const { return injected_; }
   /// Bytes delivered over time (payload only), all flows.
   const TimeSeriesCounter& deliveryCounter() const { return delivered_; }
@@ -72,12 +74,6 @@ class Fabric {
     double wire_equivalent_bytes = 0.0;
   };
   ClassTraffic classTraffic(LinkClass cls);
-
-  /// Flows (and their payload) swallowed by link-flap fault windows.
-  /// Dropped flows still count as injected wire traffic but never reach
-  /// the delivery counter. Zero without armed link faults.
-  std::int64_t droppedFlows() const { return dropped_flows_; }
-  std::int64_t droppedPayloadBytes() const { return dropped_payload_bytes_; }
 
   /// Observer invoked once per non-local flow with
   /// (src, dst, payload bytes, message count, wire start, delivered).
@@ -109,8 +105,6 @@ class Fabric {
   TimeSeriesCounter delivered_;
   std::int64_t total_payload_bytes_ = 0;
   std::int64_t total_messages_ = 0;
-  std::int64_t dropped_flows_ = 0;
-  std::int64_t dropped_payload_bytes_ = 0;
   FlowObserver flow_observer_;
   /// The current flow's hops, reused so transfer() allocates nothing per
   /// flow (nothing re-enters transfer() while the hop loop runs).

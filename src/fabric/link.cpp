@@ -87,11 +87,6 @@ bool Link::flapOverlaps(SimTime start, SimTime end) const {
   return false;
 }
 
-void Link::recordDrop(std::int64_t payload_bytes) {
-  ++dropped_flows_;
-  dropped_payload_bytes_ += payload_bytes;
-}
-
 void Link::reset() {
   // Only the private queue is reset here; a shared wire queue belongs to
   // its owning link, which resets it exactly once.
@@ -99,8 +94,6 @@ void Link::reset() {
   total_payload_bytes_ = 0;
   total_messages_ = 0;
   wire_equivalent_bytes_ = 0.0;
-  dropped_flows_ = 0;
-  dropped_payload_bytes_ = 0;
 }
 
 }  // namespace pgasemb::fabric

@@ -91,10 +91,8 @@ class Link {
   // --- Fault injection (see fault::FaultInjector) -------------------------
 
   /// Install a degradation/flap window. Windows survive reset() (they
-  /// describe the scenario, not run state); clearFaultWindows() removes
-  /// them.
+  /// describe the scenario, not run state).
   void addFaultWindow(const LinkFaultWindow& window);
-  void clearFaultWindows() { fault_windows_.clear(); }
   bool hasFaultWindows() const { return !fault_windows_.empty(); }
 
   /// Achieved-bandwidth multiplier at `at` (min over overlapping
@@ -108,11 +106,6 @@ class Link {
   /// such a flow.
   bool flapOverlaps(SimTime start, SimTime end) const;
 
-  /// Record one dropped flow (called by Fabric on a flap hit).
-  void recordDrop(std::int64_t payload_bytes);
-  std::int64_t droppedFlows() const { return dropped_flows_; }
-  std::int64_t droppedPayloadBytes() const { return dropped_payload_bytes_; }
-
   void reset();
 
  private:
@@ -125,8 +118,6 @@ class Link {
   std::int64_t total_messages_ = 0;
   double wire_equivalent_bytes_ = 0.0;
   std::vector<LinkFaultWindow> fault_windows_;
-  std::int64_t dropped_flows_ = 0;
-  std::int64_t dropped_payload_bytes_ = 0;
 };
 
 }  // namespace pgasemb::fabric

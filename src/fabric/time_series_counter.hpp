@@ -25,10 +25,8 @@ class TimeSeriesCounter {
   /// Value accumulated in bucket `i` (time range [i*w, (i+1)*w)).
   double bucket(std::size_t i) const;
 
-  /// Center time of bucket `i`.
-  SimTime bucketCenter(std::size_t i) const;
-
   /// Cumulative totals over time (prefix sums), one entry per bucket.
+  // pgaslint:allow(unused-decl) prefix sums for counter tests
   std::vector<double> cumulative() const;
 
   double total() const { return total_; }

@@ -219,8 +219,7 @@ SimTime FaultInjector::launchFaultDelay(int device, SimTime host_now) {
 
 FaultInjector::PutResult FaultInjector::reliableTransfer(
     int src, int dst, std::int64_t payload_bytes, std::int64_t n_messages,
-    SimTime at, double bandwidth_fraction, bool collective,
-    const AttemptFn& on_attempt) {
+    SimTime at, double bandwidth_fraction, bool collective) {
   PGASEMB_ASSERT(fabric_ != nullptr, "FaultInjector used before arm()");
   PutResult out;
   SimTime inject = at;
@@ -228,7 +227,6 @@ FaultInjector::PutResult FaultInjector::reliableTransfer(
   for (int attempt = 1;; ++attempt) {
     const auto d = fabric_->transfer(src, dst, payload_bytes, n_messages,
                                      inject, nullptr, bandwidth_fraction);
-    if (on_attempt) on_attempt(inject, d);
     if (!d.dropped) {
       out.acked = d.delivered;
       out.attempts = attempt;
@@ -260,17 +258,16 @@ FaultInjector::PutResult FaultInjector::reliableTransfer(
 
 FaultInjector::PutResult FaultInjector::reliablePut(
     int src, int dst, std::int64_t payload_bytes, std::int64_t n_messages,
-    SimTime at, const AttemptFn& on_attempt) {
+    SimTime at) {
   return reliableTransfer(src, dst, payload_bytes, n_messages, at,
-                          /*bandwidth_fraction=*/1.0, /*collective=*/false,
-                          on_attempt);
+                          /*bandwidth_fraction=*/1.0, /*collective=*/false);
 }
 
 FaultInjector::PutResult FaultInjector::reliableCollective(
     int src, int dst, std::int64_t payload_bytes, std::int64_t n_messages,
     SimTime at, double bandwidth_fraction) {
   return reliableTransfer(src, dst, payload_bytes, n_messages, at,
-                          bandwidth_fraction, /*collective=*/true, nullptr);
+                          bandwidth_fraction, /*collective=*/true);
 }
 
 }  // namespace pgasemb::fault

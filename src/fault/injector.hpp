@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -46,10 +45,6 @@ class FaultInjector {
   /// certify that equal seeds give equal schedules).
   const std::vector<FaultSpec>& materialized() const { return materialized_; }
 
-  /// Per-attempt observer for reliable transfers (comm counters, simsan).
-  using AttemptFn =
-      std::function<void(SimTime at, const fabric::Fabric::Delivery&)>;
-
   struct PutResult {
     SimTime acked;          ///< delivery of the final (successful) attempt
     SimTime first_loss;     ///< loss time of the first dropped attempt
@@ -59,11 +54,9 @@ class FaultInjector {
 
   /// One-sided put with delivery tracking: re-injects flap-dropped flows
   /// after the retry policy's timeout/backoff until one delivery lands.
-  /// Counts retransmits + recovery latency. `on_attempt` fires once per
-  /// injection with that attempt's delivery.
+  /// Counts retransmits + recovery latency.
   PutResult reliablePut(int src, int dst, std::int64_t payload_bytes,
-                        std::int64_t n_messages, SimTime at,
-                        const AttemptFn& on_attempt = nullptr);
+                        std::int64_t n_messages, SimTime at);
 
   /// Collective chunk transfer with bounded reissue (counted separately
   /// as collective_reissues).
@@ -107,8 +100,7 @@ class FaultInjector {
 
   PutResult reliableTransfer(int src, int dst, std::int64_t payload_bytes,
                              std::int64_t n_messages, SimTime at,
-                             double bandwidth_fraction, bool collective,
-                             const AttemptFn& on_attempt);
+                             double bandwidth_fraction, bool collective);
 
   FaultPlan plan_;
   gpu::MultiGpuSystem* system_ = nullptr;

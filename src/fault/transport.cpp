@@ -26,19 +26,17 @@ std::int64_t Transport::encode(int src, int dst, std::int64_t payload,
 
 FaultInjector::PutResult Transport::send(
     Traffic traffic, int src, int dst, std::int64_t bytes,
-    std::int64_t n_messages, SimTime at, double bandwidth_fraction,
-    const FaultInjector::AttemptFn& on_attempt) const {
+    std::int64_t n_messages, SimTime at, double bandwidth_fraction) const {
   if (injector_ == nullptr) {
     const auto d = fabric_->transfer(src, dst, bytes, n_messages, at, nullptr,
                                      bandwidth_fraction);
-    if (on_attempt) on_attempt(at, d);
     return {d.delivered, d.delivered, 1};
   }
   if (traffic == Traffic::kCollective) {
     return injector_->reliableCollective(src, dst, bytes, n_messages, at,
                                          bandwidth_fraction);
   }
-  return injector_->reliablePut(src, dst, bytes, n_messages, at, on_attempt);
+  return injector_->reliablePut(src, dst, bytes, n_messages, at);
 }
 
 int Transport::leaderAt(int node, SimTime at) const {

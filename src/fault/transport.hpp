@@ -57,13 +57,13 @@ class Transport {
 
   /// Puts `bytes` on the wire. Fault-free: one Fabric::transfer. Under an
   /// armed injector: a delivery-tracked transfer that re-injects dropped
-  /// attempts until one lands. `on_attempt` fires once per injection.
-  /// The result keeps the acknowledged delivery and, for a recovered
-  /// transfer, the loss time of its first dropped attempt.
+  /// attempts until one lands. The result keeps the acknowledged
+  /// delivery and, for a recovered transfer, the loss time of its first
+  /// dropped attempt.
   FaultInjector::PutResult send(
       Traffic traffic, int src, int dst, std::int64_t bytes,
-      std::int64_t n_messages, SimTime at, double bandwidth_fraction = 1.0,
-      const FaultInjector::AttemptFn& on_attempt = nullptr) const;
+      std::int64_t n_messages, SimTime at,
+      double bandwidth_fraction = 1.0) const;
 
   /// Elected staging leader of `node` at `at`: the injector's election
   /// (leader-fail failover, counted once per window) when armed, the

@@ -75,9 +75,8 @@ class Device {
 
   int id() const { return id_; }
   ExecutionMode mode() const { return mode_; }
-  std::int64_t memoryCapacityBytes() const { return capacity_bytes_; }
+  // pgaslint:allow(unused-decl) allocator audit in tests
   std::int64_t memoryUsedBytes() const { return used_bytes_; }
-  std::int64_t memoryFreeBytes() const { return capacity_bytes_ - used_bytes_; }
 
   /// Allocate `n` fp32 elements; throws OutOfMemoryError past capacity.
   DeviceBuffer alloc(std::int64_t n);
@@ -95,6 +94,7 @@ class Device {
   void free(DeviceBuffer& buffer);
 
   /// Address-space high-water mark in elements (tests/diagnostics).
+  // pgaslint:allow(unused-decl) allocator audit in tests
   std::int64_t addressSpaceEnd() const { return next_offset_; }
 
   simsan::Checker* sanitizer() const { return sanitizer_; }
@@ -110,7 +110,6 @@ class Device {
   /// [start, end) run `factor`x slower.  An empty window list keeps the
   /// kernel path identical to a fault-free build.
   void addSlowdownWindow(SimTime start, SimTime end, double factor);
-  void clearSlowdownWindows() { slowdown_windows_.clear(); }
   bool hasSlowdownWindows() const { return !slowdown_windows_.empty(); }
 
   /// Compute slowdown factor at `at` (max over overlapping windows;

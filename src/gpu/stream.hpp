@@ -43,6 +43,7 @@ class Stream {
   void enqueueKernel(SimTime ready, KernelDesc desc);
 
   /// Enqueue an operation with a fixed duration (e.g. a D2D copy).
+  // pgaslint:allow(unused-decl) stream-ordering tests without kernels
   void enqueueFixed(SimTime ready, std::string label, SimTime duration,
                     std::function<void()> body = nullptr);
 
@@ -52,6 +53,7 @@ class Stream {
   /// Enqueue a wait: the stream stalls until `event` is recorded.
   void enqueueWaitEvent(SimTime ready, GpuEvent& event);
 
+  // pgaslint:allow(unused-decl) stream drain checks in tests
   bool idle() const { return !busy_ && queue_.empty(); }
 
   /// Completion time of the most recently finished operation.

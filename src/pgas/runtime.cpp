@@ -19,7 +19,7 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system,
 }
 
 void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
-                                    MessagePlan plan, CommCounter* counter,
+                                    MessagePlan plan,
                                     const AggregatorParams* aggregator,
                                     std::vector<simsan::MemEffect> remote_writes) {
   PGASEMB_CHECK(src >= 0 && src < system_.numGpus(), "bad source PE ", src);
@@ -38,12 +38,12 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
   // original timestamps) is provably result-identical to one simulator
   // event per slice.  Anything that observes per-message *event order*
   // — the simsan checker, fault drop windows (via the injector or armed
-  // links), per-injection comm counters, flow observers — re-arms the
-  // per-message path; so does a shared-resource topology, where another
-  // source's flow could interleave on the same link.
+  // links), flow observers — re-arms the per-message path; so does a
+  // shared-resource topology, where another source's flow could
+  // interleave on the same link.
   desc.coalesce_slices = coalesce_enabled_ &&
                          system_.mode() == gpu::ExecutionMode::kTimingOnly &&
-                         system_.sanitizer() == nullptr && counter == nullptr &&
+                         system_.sanitizer() == nullptr &&
                          transport_.coalescable();
 
   auto quiet = quiet_pool_.make();
@@ -60,7 +60,7 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
     strict_puts = strict->trackPuts(desc.name, remote_writes);
   }
 
-  desc.on_slice = [this, src, counter, quiet, strict_puts,
+  desc.on_slice = [this, src, quiet, strict_puts,
                    remote_writes = std::move(remote_writes),
                    plan = std::move(plan)](int slice, SimTime at) {
     auto* san = system_.sanitizer();
@@ -71,15 +71,6 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
           "gpu" + std::to_string(src) + ".pgas_put",
           system_.stream(src).sanitizerActor());
     }
-    // One attempt observer per slice, not per put: the flow loop
-    // retargets `attempt_payload` instead of materializing a fresh
-    // std::function for every transfer.
-    std::int64_t attempt_payload = 0;
-    const fault::FaultInjector::AttemptFn on_attempt =
-        [counter, &attempt_payload](SimTime attempt_at,
-                                    const fabric::Fabric::Delivery&) {
-          if (counter != nullptr) counter->record(attempt_at, attempt_payload);
-        };
     using Traffic = fault::Transport::Traffic;
     auto& topo = transport_.fabric().topology();
     const bool hier = transport_.hierarchical();
@@ -102,20 +93,18 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
         }
       }
     };
-    // Direct put of one flow: every injection counts toward comm volume,
-    // and under faults flap-dropped attempts are retransmitted and quiet
-    // waits on the *acknowledged* delivery. Only the fault-free path runs
-    // the codec on a direct put; a delivery-tracked put ships the raw
-    // payload (kept as-is for parity with earlier builds). Returns the
-    // acked delivery time.
+    // Direct put of one flow: under faults flap-dropped attempts are
+    // retransmitted and quiet waits on the *acknowledged* delivery. Only
+    // the fault-free path runs the codec on a direct put; a
+    // delivery-tracked put ships the raw payload (kept as-is for parity
+    // with earlier builds). Returns the acked delivery time.
     const auto put = [&](const auto& f) {
-      attempt_payload = f.payload_bytes;
       const std::int64_t wire =
           transport_.injector() != nullptr
               ? f.payload_bytes
               : transport_.encode(src, f.dst, f.payload_bytes, at);
       const auto r = transport_.send(Traffic::kPut, src, f.dst, wire,
-                                     f.n_messages, at, 1.0, on_attempt);
+                                     f.n_messages, at);
       if (!(seeded_bug && r.retransmitted())) {
         log_put(f, r.acked);
         return r.acked;
@@ -187,7 +176,6 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
         // Nothing to ship; empty puts complete at injection.
         for (const auto& f : flows) {
           if (topo.nodeOf(f.dst) != node) continue;
-          if (counter != nullptr) counter->record(at, f.payload_bytes);
           log_put(f, at);
         }
         continue;
@@ -211,7 +199,6 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
                                  f.payload_bytes, f.n_messages, landed)
                      .acked;
         }
-        if (counter != nullptr) counter->record(at, f.payload_bytes);
         log_put(f, done);
       }
     }

@@ -18,7 +18,6 @@
 #include "gpu/kernel.hpp"
 #include "gpu/system.hpp"
 #include "pgas/aggregator.hpp"
-#include "pgas/comm_counter.hpp"
 #include "pgas/message_plan.hpp"
 #include "pgas/symmetric_heap.hpp"
 #include "simsan/access.hpp"
@@ -37,7 +36,7 @@ class PgasRuntime {
   /// hop is delivery-tracked (quiet waits for the acknowledged
   /// delivery), leaders follow leader-fail failover, and node pairs
   /// inside a NIC fault window fall back to direct per-flow puts.
-  /// Comm counters and strict effects account the original payload.
+  /// Strict effects account the original payload.
   /// A bare fabric gives the plain, fault-free, flat path.
   PgasRuntime(gpu::MultiGpuSystem& system, fault::Transport transport);
 
@@ -47,15 +46,13 @@ class PgasRuntime {
   /// Master switch for the TimingOnly slice-coalescing fast path
   /// (--no-coalesce escape hatch). Even when enabled, a kernel's slices
   /// are only coalesced when it is provably result-identical: TimingOnly
-  /// mode, no simsan checker, no per-injection counter, and a
-  /// Transport::coalescable() path. Default on.
+  /// mode, no simsan checker, and a Transport::coalescable() path.
+  /// Default on.
   void setCoalescingEnabled(bool enabled) { coalesce_enabled_ = enabled; }
-  bool coalescingEnabled() const { return coalesce_enabled_; }
 
   /// Wire `desc` so its slices emit `plan`'s flows from GPU `src` and its
   /// completion implements quiet (waits for the last delivery).  If
-  /// `counter` is non-null every injection is recorded (paper Figs 7/10).
-  /// If `aggregator` is non-null the plan is first rewritten through the
+  /// `aggregator` is non-null the plan is first rewritten through the
   /// async aggregator model.
   ///
   /// `remote_writes` declares the destination-memory footprint of the
@@ -67,7 +64,6 @@ class PgasRuntime {
   /// wait AND the happens-before edge, exactly like skipping
   /// nvshmem_quiet on real hardware.
   void attachMessagePlan(gpu::KernelDesc& desc, int src, MessagePlan plan,
-                         CommCounter* counter = nullptr,
                          const AggregatorParams* aggregator = nullptr,
                          std::vector<simsan::MemEffect> remote_writes = {});
 

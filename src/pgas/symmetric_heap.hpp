@@ -25,6 +25,7 @@ class SymmetricBuffer {
 
   bool valid() const { return !parts_.empty(); }
   int numPes() const { return static_cast<int>(parts_.size()); }
+  // pgaslint:allow(unused-decl) symmetric-allocation tests
   std::int64_t sizePerPe() const { return size_per_pe_; }
 
   gpu::DeviceBuffer& on(int pe);

@@ -60,6 +60,7 @@ class EventQueue {
 
   /// Slots currently held by the arena (live + recyclable); test hook
   /// for the high-water shrink behavior.
+  // pgaslint:allow(unused-decl) high-water shrink test
   std::size_t storageSlots() const { return storage_.size(); }
 
  private:

@@ -40,8 +40,10 @@ class Simulator {
 
   /// Drain events with time <= `until`; the clock advances to `until`
   /// even if the queue empties earlier. Returns now().
+  // pgaslint:allow(unused-decl) event-loop contract tests
   SimTime runUntil(SimTime until);
 
+  // pgaslint:allow(unused-decl) event-loop contract tests
   bool idle() const { return queue_.empty(); }
   std::uint64_t eventsProcessed() const { return events_processed_; }
 
@@ -55,6 +57,7 @@ class Simulator {
   /// is suspect. Violations throw pgasemb::Error naming both times; the
   /// caller should drain with run()/runUntil() first. Backwards calls
   /// (to <= now()) are no-ops.
+  // pgaslint:allow(unused-decl) event-loop contract tests
   void advanceClock(SimTime to);
 
  private:

@@ -75,6 +75,7 @@ struct Summary {
   /// First `kMaxRecordedViolations` violations, in detection order.
   std::vector<Violation> violations;
 
+  // pgaslint:allow(unused-decl) the verdict tests assert on
   bool clean() const {
     return races == 0 && out_of_bounds == 0 && lifetime_errors == 0 &&
            leaks == 0 && undeclared_effects == 0;
@@ -163,19 +164,15 @@ class Checker {
               AccessKind kind, SimTime start, SimTime finish,
               const std::string& label);
 
-  void logEffect(ActorId actor, const MemEffect& effect, SimTime start,
-                 SimTime finish) {
-    access(actor, effect.device, effect.range, effect.kind, start, finish,
-           effect.label);
-  }
-
   // --- Seeded bugs (certification tests only) ----------------------------
 
+  // pgaslint:allow(unused-decl) certification tests arm seeded bugs
   void seedBug(SeededBug bug) { seeded_bug_ = bug; }
   bool seeded(SeededBug bug) const { return seeded_bug_ == bug; }
 
   // --- Results ------------------------------------------------------------
 
+  // pgaslint:allow(unused-decl) the verdict tests assert on
   bool clean() const {
     return races_ == 0 && out_of_bounds_ == 0 && lifetime_errors_ == 0 &&
            leaks_ == 0;

@@ -64,14 +64,6 @@ double ScalingPoint::speedup() const {
   return treat > 0.0 ? reference().result.avgBatchMs() / treat : 0.0;
 }
 
-double geomeanSpeedup(const std::vector<ScalingPoint>& points) {
-  std::vector<double> speedups;
-  for (const auto& p : points) {
-    if (p.gpus >= 2) speedups.push_back(p.speedup());
-  }
-  return speedups.empty() ? 0.0 : geomean(speedups);
-}
-
 std::string renderSpeedupTable(const std::vector<ScalingPoint>& points) {
   std::vector<std::string> headers{"Speedup"};
   for (const auto& p : points) {

@@ -50,10 +50,6 @@ struct ScalingPoint {
 /// non-reference retriever.
 std::string renderSpeedupTable(const std::vector<ScalingPoint>& points);
 
-/// Geometric mean of the multi-GPU reference/treatment speedups (the
-/// paper's headline 1.97x / 2.63x numbers).
-double geomeanSpeedup(const std::vector<ScalingPoint>& points);
-
 /// Weak-scaling factor chart (runtime / 1-GPU runtime; ideal = 1.0,
 /// paper Fig 5) or strong-scaling chart (1-GPU runtime / runtime; ideal
 /// = p, paper Fig 8), one series per retriever.

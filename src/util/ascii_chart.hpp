@@ -18,15 +18,13 @@ struct ChartSeries {
 
 /// Renders one or more (x, y) series on a shared character grid with
 /// y-axis labels, suitable for scaling curves and volume-over-time plots.
+/// The y axis auto-fits to the data, floored at 0.
 class AsciiLineChart {
  public:
   AsciiLineChart(std::string title, int width = 72, int height = 18);
 
   void addSeries(ChartSeries series);
   void setAxisLabels(std::string x_label, std::string y_label);
-
-  /// Force y-axis bounds (otherwise auto-fit to the data, floored at 0).
-  void setYRange(double y_min, double y_max);
 
   std::string render() const;
 
@@ -36,9 +34,6 @@ class AsciiLineChart {
   std::string y_label_;
   int width_;
   int height_;
-  bool has_y_range_ = false;
-  double y_min_ = 0.0;
-  double y_max_ = 0.0;
   std::vector<ChartSeries> series_;
 };
 

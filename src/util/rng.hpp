@@ -41,7 +41,7 @@ class Rng {
   double normal();
 
   /// Fisher–Yates shuffle.
-  template <typename T>
+  template <typename T>  // pgaslint:allow(unused-decl) Rng tests
   void shuffle(std::vector<T>& v) {
     for (std::size_t i = v.size(); i > 1; --i) {
       std::size_t j = static_cast<std::size_t>(nextBounded(i));

@@ -39,13 +39,6 @@ double geomean(const std::vector<double>& values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : values) s += v;
-  return s / static_cast<double>(values.size());
-}
-
 double percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
   PGASEMB_CHECK(p >= 0.0 && p <= 100.0, "percentile p out of range: ", p);

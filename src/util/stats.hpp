@@ -12,8 +12,10 @@ class RunningStat {
   void add(double x);
 
   std::size_t count() const { return n_; }
+  // pgaslint:allow(unused-decl) statistics oracle of the Rng tests
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const;  ///< Sample variance (n-1 denominator).
+  // pgaslint:allow(unused-decl) statistics oracle of the Rng tests
   double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
@@ -30,9 +32,6 @@ class RunningStat {
 
 /// Geometric mean of a set of strictly positive values.
 double geomean(const std::vector<double>& values);
-
-/// Arithmetic mean. Returns 0 for an empty vector.
-double mean(const std::vector<double>& values);
 
 /// Linear-interpolated percentile, p in [0, 100]. Sorts a copy.
 double percentile(std::vector<double> values, double p);

@@ -94,14 +94,20 @@ TEST(CollectiveTest, LargerPayloadTakesLonger) {
 }
 
 TEST(CollectiveTest, ChunkingAddsPerChunkOverhead) {
-  Rig a(2), b(2);
-  ChunkingParams coarse{64 << 20};
-  ChunkingParams fine{1 << 20};
-  auto ra = a.comm.allToAllSingle(a.uniformMatrix(32 << 20), nullptr, coarse);
+  // On a wire fast enough to be free, a transfer costs its 4 MiB
+  // pipeline chunks: 32 MiB pays seven more proxy steps than 4 MiB.
+  fabric::LinkParams fast;
+  fast.bandwidth_bytes_per_sec = 1e18;
+  Rig a(2, fast), b(2, fast);
+  auto ra = a.comm.allToAllSingle(a.uniformMatrix(4 << 20));
   ra.wait(a.system);
-  auto rb = b.comm.allToAllSingle(b.uniformMatrix(32 << 20), nullptr, fine);
+  auto rb = b.comm.allToAllSingle(b.uniformMatrix(32 << 20));
   rb.wait(b.system);
-  EXPECT_GT(rb.completionTime(), ra.completionTime());
+  const SimTime extra = (rb.completionTime() - rb.startTime()) -
+                        (ra.completionTime() - ra.startTime());
+  const SimTime chunk = a.system.costModel().collective_chunk_overhead;
+  EXPECT_GE(extra, chunk * 7);
+  EXPECT_LT(extra, chunk * 8);
 }
 
 TEST(CollectiveTest, OnCompleteRunsExactlyOnceAtWait) {

@@ -445,7 +445,7 @@ TEST(MultiNodeSimsanTest, HierarchicalCompressedPathsAreClean) {
     cfg.num_batches = 2;
     cfg.hierarchical_a2a = true;
     cfg.compress_bound = 1e-2;
-    cfg.simsan = true;
+    cfg.simsan = SimsanMode::kChecker;
     for (const auto& name : kRetrievers) {
       ScenarioRunner runner(cfg);
       const ExperimentResult r = runner.run(name);
@@ -466,8 +466,7 @@ TEST(MultiNodeSimsanTest, StrictEffectsHoldUnderHierarchyAndCompression) {
   cfg.num_batches = 2;
   cfg.hierarchical_a2a = true;
   cfg.compress_bound = 1e-2;
-  cfg.simsan = true;
-  cfg.simsan_strict = true;
+  cfg.simsan = SimsanMode::kStrict;
   for (const char* name : {"nccl_collective", "pgas_fused"}) {
     ScenarioRunner runner(cfg);
     const ExperimentResult r = runner.run(name);
@@ -591,7 +590,7 @@ TEST(MultiNodeSimsanTest, FailoverStagingCertifiedCleanAcrossWidths) {
   for (const int per_node : {2, 4}) {
     ExperimentConfig cfg =
         faultedConfig(2, per_node, "leader-fail:0:0.0-1000000.0");
-    cfg.simsan = true;
+    cfg.simsan = SimsanMode::kChecker;
     for (const auto& name : kRetrievers) {
       const ExperimentResult r = ScenarioRunner(cfg).run(name);
       ASSERT_TRUE(r.sanitizer.has_value())
@@ -613,8 +612,7 @@ TEST(MultiNodeSimsanTest, FailoverStagingHoldsUnderStrictEffects) {
   // inside theirs.
   ExperimentConfig cfg =
       faultedConfig(2, 2, "leader-fail:0:0.0-1000000.0");
-  cfg.simsan = true;
-  cfg.simsan_strict = true;
+  cfg.simsan = SimsanMode::kStrict;
   for (const char* name : {"nccl_collective", "pgas_fused"}) {
     const ExperimentResult r = ScenarioRunner(cfg).run(name);
     ASSERT_TRUE(r.sanitizer.has_value()) << name;
@@ -629,7 +627,7 @@ TEST(MultiNodeSimsanTest, SeededRebuildWithoutRequietIsCaughtByName) {
   // gathers into the standby race it, and the report names the rebuild.
   ExperimentConfig cfg =
       faultedConfig(2, 2, "leader-fail:0:0.0-1000000.0");
-  cfg.simsan = true;
+  cfg.simsan = SimsanMode::kChecker;
 
   const ExperimentResult fixed =
       runWithSeededBug(cfg, "nccl_collective", simsan::SeededBug::kNone);
@@ -660,7 +658,7 @@ TEST(MultiNodeSimsanTest, SeededScatterBeforeInterFlowIsFlagged) {
   ExperimentConfig cfg = sweepConfig(2, 2);
   cfg.num_batches = 1;
   cfg.hierarchical_a2a = true;
-  cfg.simsan = true;
+  cfg.simsan = SimsanMode::kChecker;
   const ExperimentResult fixed =
       runWithSeededBug(cfg, "nccl_collective", simsan::SeededBug::kNone);
   ASSERT_TRUE(fixed.sanitizer.has_value());

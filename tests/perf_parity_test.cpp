@@ -145,7 +145,7 @@ TEST(PerfParityTest, SimsanDisablesCoalescingButKeepsResults) {
   ScenarioRunner plain(cfg);
   const ExperimentResult fast = plain.run("pgas_fused");
 
-  cfg.simsan = true;
+  cfg.simsan = SimsanMode::kChecker;
   ScenarioRunner checked(cfg);
   const ExperimentResult san = checked.run("pgas_fused");
 

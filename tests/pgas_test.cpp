@@ -10,7 +10,6 @@
 #include "fabric/fabric.hpp"
 #include "gpu/system.hpp"
 #include "pgas/aggregator.hpp"
-#include "pgas/comm_counter.hpp"
 #include "pgas/message_plan.hpp"
 #include "pgas/runtime.hpp"
 #include "util/expect.hpp"
@@ -119,9 +118,12 @@ TEST(PgasRuntimeTest, AttachedPlanInjectsDuringKernel) {
   rig.system.launchKernel(0, desc);
   rig.system.syncAll();
   EXPECT_EQ(rig.fabric.totalPayloadBytes(), 1 << 20);
-  // Injections spread across the kernel: several non-empty buckets.
-  int nonzero = 0;
+  // The fabric's injection counter is the paper's in-kernel comm
+  // counter (Figs 7/10): it records every put, spread across the kernel
+  // over several non-empty buckets.
   const auto& c = rig.fabric.injectionCounter();
+  EXPECT_DOUBLE_EQ(c.total(), 1 << 20);
+  int nonzero = 0;
   for (std::size_t i = 0; i < c.numBuckets(); ++i) {
     if (c.bucket(i) > 0) ++nonzero;
   }
@@ -155,19 +157,6 @@ TEST(PgasRuntimeTest, QuietIsFreeWhenCommHidden) {
   // Completion within a tight bound of compute end (last slice drain).
   EXPECT_LT(end, SimTime::ms(10.2) +
                      rig.system.costModel().kernel_launch_overhead);
-}
-
-TEST(PgasRuntimeTest, CounterRecordsPaperUnits) {
-  Rig rig(2);
-  CommCounter counter(SimTime::us(50));
-  gpu::KernelDesc desc;
-  desc.name = "counted";
-  desc.duration = SimTime::ms(1);
-  auto plan = makeUniformPlan({0, 1 << 20}, 0, 16, 256);
-  rig.runtime.attachMessagePlan(desc, 0, std::move(plan), &counter);
-  rig.system.launchKernel(0, desc);
-  rig.system.syncAll();
-  EXPECT_DOUBLE_EQ(counter.totalUnits(), (1 << 20) / 256.0);
 }
 
 TEST(PgasRuntimeTest, BadSourcePeThrows) {
@@ -309,7 +298,7 @@ TEST(AggregatorTest, AggregatedKernelFasterOnMessageRateLimitedLink) {
     desc.name = "k";
     desc.duration = SimTime::ms(1);
     auto plan = makeUniformPlan({0, 64 << 20}, 0, 64, 256);
-    rig.runtime.attachMessagePlan(desc, 0, std::move(plan), nullptr, agg);
+    rig.runtime.attachMessagePlan(desc, 0, std::move(plan), agg);
     rig.system.launchKernel(0, desc);
     rig.system.syncAll();
     return rig.system.stream(0).lastCompletion();

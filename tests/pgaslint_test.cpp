@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pgaslint/lint.hpp"
@@ -365,6 +366,9 @@ TEST(PgaslintScopeTest, RuleScopesMatchTheDocumentedDirectories) {
   EXPECT_TRUE(ruleAppliesTo("ptr-key-ordered", "tools/pgaslint/lint.cpp"));
   EXPECT_TRUE(ruleAppliesTo("kernel-mem-effects", "src/emb/rogue.cpp"));
   EXPECT_FALSE(ruleAppliesTo("kernel-mem-effects", "bench/bench_cache.cpp"));
+  EXPECT_TRUE(ruleAppliesTo("unused-decl", "src/emb/layer.hpp"));
+  EXPECT_FALSE(ruleAppliesTo("unused-decl", "src/emb/layer.cpp"));
+  EXPECT_FALSE(ruleAppliesTo("unused-decl", "bench/bench_common.hpp"));
 }
 
 TEST(PgaslintScopeTest, AbsolutePathsScopeByDirectoryComponent) {
@@ -403,12 +407,157 @@ TEST(PgaslintScopeTest, FindingsAreSortedByLine) {
 }
 
 // ---------------------------------------------------------------------------
+// unused-decl: the whole-repo pass
+// ---------------------------------------------------------------------------
+
+/// A demo header; `above_spare` is inserted as the line above spare()'s
+/// declaration, which is otherwise line 8.
+std::string widgetHpp(const std::string& above_spare = "") {
+  return "#pragma once\n"
+         "namespace demo {\n"
+         "class Widget {\n"
+         " public:\n"
+         "  explicit Widget(int n);\n"
+         "  ~Widget();\n"
+         "  int size() const { return n_; }\n" +
+         above_spare +
+         "  int spare() const;\n"
+         "  bool operator==(const Widget&) const = default;\n"
+         "\n"
+         " private:\n"
+         "  int helper() const;\n"
+         "  int n_ = 0;\n"
+         "};\n"
+         "}  // namespace demo\n";
+}
+
+/// The demo header's source file, whose constructor body is `ctor_body`.
+std::string widgetCpp(const std::string& ctor_body = "n_ += helper();") {
+  return "#include \"demo/widget.hpp\"\n"
+         "namespace demo {\n"
+         "Widget::Widget(int n) : n_(n) { " +
+         ctor_body +
+         " }\n"
+         "Widget::~Widget() = default;\n"
+         "int Widget::spare() const { return 0; }\n"
+         "int Widget::helper() const { return 1; }\n"
+         "}  // namespace demo\n";
+}
+
+/// The demo header and source plus `extra` files, linted for
+/// unused-decl only.
+std::vector<Finding> lintDemo(std::vector<SourceFile> extra,
+                              std::string hpp = widgetHpp(),
+                              std::string cpp = widgetCpp()) {
+  std::vector<SourceFile> files = {{"src/demo/widget.hpp", std::move(hpp)},
+                                   {"src/demo/widget.cpp", std::move(cpp)}};
+  for (auto& f : extra) files.push_back(std::move(f));
+  Options opts;
+  opts.rules = {"unused-decl"};
+  return lintRepo(files, opts);
+}
+
+TEST(PgaslintUnusedDeclTest, FlagsAnUncalledDeclaration) {
+  // size() is used by the caller below; spare() only has its own
+  // declaration and definition.
+  const auto f = only(lintDemo(
+      {{"bench/use.cpp", "int use(const demo::Widget& w) {\n"
+                         "  return w.size();\n"
+                         "}\n"}}));
+  EXPECT_EQ(f.rule, "unused-decl");
+  EXPECT_EQ(f.file, "src/demo/widget.hpp");
+  EXPECT_EQ(f.line, 8);
+  EXPECT_NE(f.message.find("'spare'"), std::string::npos);
+  EXPECT_NE(f.message.find("delete it"), std::string::npos);
+}
+
+TEST(PgaslintUnusedDeclTest, CallFromAnotherFileCounts) {
+  EXPECT_TRUE(lintDemo({{"examples/use.cpp",
+                         "int use(const demo::Widget& w) {\n"
+                         "  return w.size() + w.spare();\n"
+                         "}\n"}})
+                  .empty());
+  EXPECT_TRUE(lintDemo({{"perfbench/use.cpp",
+                         "int use(const demo::Widget& w) {\n"
+                         "  return w.size() + w.spare();\n"
+                         "}\n"}})
+                  .empty());
+}
+
+TEST(PgaslintUnusedDeclTest, PrivateHelperCalledInItsOwnCppIsUsed) {
+  // helper() is declared in the header and called only from the
+  // constructor's body in widget.cpp: a use, not a declaration.
+  const SourceFile caller = {"tools/use.cpp",
+                             "int use(const demo::Widget& w) {\n"
+                             "  return w.size() + w.spare();\n"
+                             "}\n"};
+  EXPECT_TRUE(lintDemo({caller}).empty());
+
+  const auto f = only(lintDemo({caller}, widgetHpp(), widgetCpp("")));
+  EXPECT_EQ(f.line, 12);
+  EXPECT_NE(f.message.find("'helper'"), std::string::npos);
+}
+
+TEST(PgaslintUnusedDeclTest, TestOnlyCallerIsATestSeamUntilAllowed) {
+  const SourceFile prod = {"src/use.cpp",
+                           "int use(const demo::Widget& w) {\n"
+                           "  return w.size();\n"
+                           "}\n"};
+  const SourceFile test = {"tests/widget_test.cpp",
+                           "TEST(Widget, Spare) {\n"
+                           "  EXPECT_EQ(demo::Widget(1).spare(), 0);\n"
+                           "}\n"};
+  const auto f = only(lintDemo({prod, test}));
+  EXPECT_EQ(f.line, 8);
+  EXPECT_NE(f.message.find("only from tests/"), std::string::npos);
+  EXPECT_NE(f.message.find("pgaslint:allow(unused-decl)"), std::string::npos);
+
+  EXPECT_TRUE(lintDemo({prod, test},
+                       widgetHpp("  // pgaslint:allow(unused-decl) oracle\n"))
+                  .empty());
+}
+
+TEST(PgaslintUnusedDeclTest, CommentOrStringMentionDoesNotCount) {
+  const auto f = only(lintDemo(
+      {{"bench/use.cpp",
+        "// spare() is kept for later\n"
+        "int use(const demo::Widget& w) {\n"
+        "  const char* why = \"w.spare() would go here\";\n"
+        "  (void)why;\n"
+        "  return w.size();\n"
+        "}\n"}}));
+  EXPECT_NE(f.message.find("'spare'"), std::string::npos);
+}
+
+TEST(PgaslintUnusedDeclTest, MacroBodiesCountAsCallsNotDeclarations) {
+  // The continued #define line calls touch(); read as a statement it
+  // would look like a declaration of touch and cancel the call.
+  Options opts;
+  opts.rules = {"unused-decl"};
+  EXPECT_TRUE(lintRepo({{"src/demo/touch.hpp", "int touch(int x);\n"},
+                        {"bench/use.cpp", "#define TOUCH(x) \\\n"
+                                          "  touch(x)\n"
+                                          "int use() { return TOUCH(1); }\n"}},
+                       opts)
+                  .empty());
+}
+
+TEST(PgaslintUnusedDeclTest, RuleFilterSkipsTheRepoPass) {
+  Options opts;
+  opts.rules = {"nondet-rand"};
+  EXPECT_TRUE(lintRepo({{"src/demo/widget.hpp", widgetHpp()},
+                        {"src/demo/widget.cpp", widgetCpp()}},
+                       opts)
+                  .empty());
+}
+
+// ---------------------------------------------------------------------------
 // Rule catalogue and allowlist parsing
 // ---------------------------------------------------------------------------
 
-TEST(PgaslintCatalogueTest, SixRulesEachWithADescription) {
+TEST(PgaslintCatalogueTest, SevenRulesEachWithADescription) {
   const auto& rules = allRules();
-  EXPECT_EQ(rules.size(), 6u);
+  EXPECT_EQ(rules.size(), 7u);
   for (const auto& rule : rules) {
     EXPECT_FALSE(ruleDescription(rule).empty()) << rule;
   }

@@ -1,7 +1,11 @@
 // Tests for the inter-batch pipelined collective baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "collective/communicator.hpp"
 #include "core/collective_retriever.hpp"
@@ -21,15 +25,16 @@ struct Rig {
   pgas::PgasRuntime runtime;
   emb::ShardedEmbeddingLayer layer;
 
-  explicit Rig(int gpus, gpu::ExecutionMode mode =
-                             gpu::ExecutionMode::kTimingOnly)
+  explicit Rig(int gpus,
+               gpu::ExecutionMode mode = gpu::ExecutionMode::kTimingOnly,
+               const emb::EmbLayerSpec& layer_spec = spec(),
+               const fabric::LinkParams& link = {})
       : system(config(gpus, mode)),
         fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(
-                   gpus, fabric::LinkParams{})),
+               std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
         comm(system, fabric),
         runtime(system, fabric),
-        layer(system, spec()) {}
+        layer(system, layer_spec) {}
 
   static gpu::SystemConfig config(int gpus, gpu::ExecutionMode mode) {
     gpu::SystemConfig cfg;
@@ -135,6 +140,53 @@ TEST(PipelinedTest, DrainIsIdempotent) {
   const SimTime t2 = r.drain();
   EXPECT_GE(t2, t1);
   EXPECT_LT(t2 - t1, SimTime::us(100));  // just sync overhead
+}
+
+TEST(PipelinedTest, LookupWaitsForItsSlotsAllToAllBeyond64Gpus) {
+  // One table per GPU, so GPU 64 sends on every batch. At depth 1 every
+  // batch reuses the one slot: nothing else on GPU 64's compute stream
+  // orders its next lookup after the all-to-all still reading the send
+  // buffer, only the retriever's per-GPU slot wait does. A slow wire
+  // keeps that all-to-all in flight well past the host's next launch.
+  const int gpus = 65;
+  emb::EmbLayerSpec spec = Rig::spec();
+  spec.total_tables = gpus;
+  spec.rows_per_table = 1000;
+  spec.batch_size = gpus * 128;
+  spec.max_pooling = 8;
+  fabric::LinkParams slow;
+  slow.bandwidth_bytes_per_sec = 1e7;
+  Rig rig(gpus, gpu::ExecutionMode::kTimingOnly, spec, slow);
+  const int last = gpus - 1;
+  const std::string lookup = "emb_lookup_baseline.gpu" + std::to_string(last);
+  std::vector<SimTime> lookup_starts;
+  rig.system.setKernelObserver([&](int device, const std::string& name,
+                                   SimTime start, SimTime, SimTime) {
+    if (device == last && name == lookup) lookup_starts.push_back(start);
+  });
+  std::vector<std::pair<SimTime, SimTime>> sends;  // (wire start, delivered)
+  rig.fabric.setFlowObserver([&](int src, int, std::int64_t, std::int64_t,
+                                 SimTime wire_start, SimTime delivered) {
+    if (src == last) sends.emplace_back(wire_start, delivered);
+  });
+  PipelinedCollectiveRetriever r(rig.layer, rig.comm, /*depth=*/1);
+  const auto batch = emb::SparseBatch::statistical(spec.batchSpec());
+  for (int b = 0; b < 3; ++b) r.runBatch(batch);
+  r.drain();
+  ASSERT_EQ(lookup_starts.size(), 3u);
+  // Batch 0's all-to-all reads GPU 64's send buffer before batch 1's
+  // lookup may overwrite it: every send already on the wire when that
+  // lookup starts has landed by then.
+  const SimTime second = lookup_starts[1];
+  int earlier = 0;
+  SimTime landed = SimTime::zero();
+  for (const auto& [wire_start, delivered] : sends) {
+    if (wire_start >= second) continue;
+    ++earlier;
+    landed = std::max(landed, delivered);
+  }
+  EXPECT_EQ(earlier, gpus - 1);
+  EXPECT_LE(landed, second);
 }
 
 }  // namespace

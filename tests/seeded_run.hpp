@@ -14,8 +14,8 @@
 namespace pgasemb::engine {
 
 /// Runs `retriever` over `config`'s timing-only batch schedule with
-/// `bug` armed (SeededBug::kNone = the same run, bug-free). Needs
-/// `config.simsan`.
+/// `bug` armed (SeededBug::kNone = the same run, bug-free). Needs a
+/// `config.simsan` mode other than kOff.
 inline ExperimentResult runWithSeededBug(const ExperimentConfig& config,
                                          const std::string& retriever,
                                          simsan::SeededBug bug) {

@@ -654,7 +654,7 @@ TEST(LatencyHistogram, EmptyAndExactMoments) {
   EXPECT_LT(h.percentileMs(10.0), h.percentileMs(90.0));
 }
 
-TEST(LatencyHistogram, UnderflowOverflowAndMerge) {
+TEST(LatencyHistogram, UnderflowAndOverflow) {
   core::LatencyHistogram h;
   h.add(SimTime::zero());          // underflow bin
   h.add(SimTime::sec(1000.0));     // overflow bin
@@ -664,18 +664,6 @@ TEST(LatencyHistogram, UnderflowOverflowAndMerge) {
   // Percentiles stay clamped to observed extremes even in open bins.
   EXPECT_LE(h.percentileMs(99.0), 1000.0 * 1000.0);
   EXPECT_THROW(h.add(SimTime::ms(-1.0)), Error);
-
-  core::LatencyHistogram a, b, all;
-  for (int i = 1; i <= 50; ++i) {
-    a.add(SimTime::ms(i));
-    all.add(SimTime::ms(i));
-  }
-  for (int i = 51; i <= 100; ++i) {
-    b.add(SimTime::ms(i));
-    all.add(SimTime::ms(i));
-  }
-  a.merge(b);
-  EXPECT_TRUE(a == all);
 }
 
 TEST(LatencyHistogram, WindowP95IsTheFloorRankNearestValue) {
@@ -822,14 +810,14 @@ TEST(Admission, ShedPoliciesDropAndConserveQueries) {
     const ExperimentResult r = ServingRunner(cfg).run("pgas_fused");
     ASSERT_TRUE(r.serving.has_value());
     const ServingResult& sv = *r.serving;
-    EXPECT_GT(sv.shed_queue, 0) << formatShedPolicy(policy);
-    EXPECT_EQ(sv.blocked_arrivals, 0) << formatShedPolicy(policy);
+    EXPECT_GT(sv.shed_queue, 0) << static_cast<int>(policy);
+    EXPECT_EQ(sv.blocked_arrivals, 0) << static_cast<int>(policy);
     // Every generated query is either served or shed, never lost.
     EXPECT_EQ(sv.queries + sv.totalShed() + sv.deadline_misses,
               cfg.serving.num_queries)
-        << formatShedPolicy(policy);
+        << static_cast<int>(policy);
     EXPECT_LT(sv.queries, cfg.serving.num_queries)
-        << formatShedPolicy(policy);
+        << static_cast<int>(policy);
   }
 }
 
@@ -930,11 +918,6 @@ TEST(Admission, PolicyParsingRoundTripsAndRejectsJunk) {
   EXPECT_EQ(parseShedPolicy("block"), ShedPolicy::kBlock);
   EXPECT_EQ(parseShedPolicy("shed-oldest"), ShedPolicy::kShedOldest);
   EXPECT_EQ(parseShedPolicy("shed-newest"), ShedPolicy::kShedNewest);
-  for (const ShedPolicy p :
-       {ShedPolicy::kBlock, ShedPolicy::kShedOldest,
-        ShedPolicy::kShedNewest}) {
-    EXPECT_EQ(parseShedPolicy(formatShedPolicy(p)), p);
-  }
   EXPECT_THROW(parseShedPolicy("drop-all"), Error);
 }
 
@@ -1005,7 +988,7 @@ TEST(ServingSimsan, CleanAcrossGpuCountsAndRetrievers) {
   for (const int gpus : {2, 4, 8}) {
     ExperimentConfig cfg = smallServingConfig(gpus);
     cfg.serving.num_queries = 60;
-    cfg.simsan = true;
+    cfg.simsan = SimsanMode::kChecker;
     ServingRunner runner(cfg);
     for (const auto& name : kRetrievers) {
       const ExperimentResult result = runner.run(name);

@@ -303,7 +303,7 @@ engine::ExperimentConfig tinySimsanConfig(int gpus) {
   cfg.num_gpus = gpus;
   cfg.num_batches = 3;
   cfg.pgas_slices = 6;
-  cfg.simsan = true;
+  cfg.simsan = engine::SimsanMode::kChecker;
   return cfg;
 }
 
@@ -368,7 +368,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CertificationTest, SimsanOffLeavesResultEmpty) {
   auto cfg = tinySimsanConfig(2);
-  cfg.simsan = false;
+  cfg.simsan = engine::SimsanMode::kOff;
   engine::ScenarioRunner runner(cfg);
   const auto result = runner.run("nccl_collective");
   EXPECT_FALSE(result.sanitizer.has_value());
@@ -377,7 +377,7 @@ TEST(CertificationTest, SimsanOffLeavesResultEmpty) {
 TEST(CertificationTest, SimsanDoesNotChangeTimings) {
   auto cfg = tinySimsanConfig(4);
   engine::ScenarioRunner checked(cfg);
-  cfg.simsan = false;
+  cfg.simsan = engine::SimsanMode::kOff;
   engine::ScenarioRunner unchecked(cfg);
   for (const char* name : {"nccl_collective", "pgas_fused"}) {
     const auto a = checked.run(name);
@@ -470,7 +470,7 @@ class BrokenNoUnpackWait final : public core::EmbeddingRetriever {
       rank.send = wholeBuffer(send_[static_cast<std::size_t>(g)]);
       rank.recv = wholeBuffer(recv_[static_cast<std::size_t>(g)]);
     }
-    comm_.allToAllSingle(matrix, nullptr, {}, &comm_streams_, &mem);
+    comm_.allToAllSingle(matrix, nullptr, &comm_streams_, &mem);
 
     // BUG: the unpack must wait for the all-to-all (an a2a-done event on
     // the comm stream) before reading the receive buffer. It doesn't.
@@ -589,7 +589,7 @@ class BrokenNoQuiet final : public core::EmbeddingRetriever {
         }
       }
       runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                                 nullptr, nullptr, std::move(remote_writes));
+                                 nullptr, std::move(remote_writes));
       // BUG: strip the quiet — the kernel "completes" without waiting
       // for (or ordering against) its in-flight one-sided writes.
       fused.desc.finalize = nullptr;
@@ -706,7 +706,7 @@ class BrokenCachedBarrier final : public core::EmbeddingRetriever {
         }
       }
       runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                                 nullptr, nullptr, std::move(remote_writes));
+                                 nullptr, std::move(remote_writes));
       system.launchKernel(g, std::move(fused.desc));
     }
     if (skip_peer_ >= 0) {

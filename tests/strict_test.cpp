@@ -31,6 +31,7 @@
 #include "emb/workload.hpp"
 #include "engine/scenario_runner.hpp"
 #include "engine/serving_runner.hpp"
+#include "engine/system_builder.hpp"
 #include "fault/plan.hpp"
 #include "gpu/kernel.hpp"
 #include "gpu/system.hpp"
@@ -395,7 +396,7 @@ engine::ExperimentConfig tinyStrictConfig(int gpus) {
   cfg.num_gpus = gpus;
   cfg.num_batches = 3;
   cfg.pgas_slices = 6;
-  cfg.simsan_strict = true;  // implies simsan
+  cfg.simsan = engine::SimsanMode::kStrict;
   return cfg;
 }
 
@@ -470,10 +471,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(StrictCertificationTest, StrictImpliesSimsan) {
-  // simsan_strict alone must still attach the checker and produce a
-  // summary (the flag implies --simsan).
-  auto cfg = tinyStrictConfig(2);
-  EXPECT_FALSE(cfg.simsan);
+  // The strict mode attaches the checker as well as the strict-effects
+  // recorder, and the run produces a checker summary.
+  const auto cfg = tinyStrictConfig(2);
+  engine::SystemBuilder builder(cfg);
+  EXPECT_NE(builder.sanitizer(), nullptr);
+  EXPECT_NE(builder.strictEffects(), nullptr);
   engine::ScenarioRunner runner(cfg);
   const auto result = runner.run("nccl_collective");
   ASSERT_TRUE(result.sanitizer.has_value());
@@ -618,7 +621,7 @@ class BrokenUnderdeclaredPut final : public core::EmbeddingRetriever {
                                  fused.desc.name + ".put"});
       }
       runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                                 nullptr, nullptr, std::move(remote_writes));
+                                 nullptr, std::move(remote_writes));
       system.launchKernel(g, std::move(fused.desc));
     }
     core::BatchTiming timing;
@@ -668,8 +671,7 @@ TEST(StrictSeededBugTest, SameBugPassesWithoutStrictMode) {
   // soundness gap strict mode closes): with races absent the run looks
   // clean. Guards that the seeded bug is strict-specific.
   auto cfg = tinyStrictConfig(4);
-  cfg.simsan_strict = false;
-  cfg.simsan = true;
+  cfg.simsan = engine::SimsanMode::kChecker;
   engine::ScenarioRunner runner(cfg);
   const auto result = runner.run("broken_underdeclared_put");
   ASSERT_TRUE(result.sanitizer.has_value());

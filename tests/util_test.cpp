@@ -164,7 +164,6 @@ TEST(StatsTest, PercentileInterpolates) {
 }
 
 TEST(StatsTest, EmptyInputsAreZero) {
-  EXPECT_DOUBLE_EQ(mean({}), 0.0);
   EXPECT_DOUBLE_EQ(geomean({}), 0.0);
   EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
 }

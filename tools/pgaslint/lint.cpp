@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
+#include <iterator>
+#include <map>
 #include <utility>
 
 namespace pgaslint {
@@ -10,6 +12,15 @@ namespace {
 
 bool isIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// True when repo-relative (or absolute) `path` lies under directory
+/// `dir`, matched as a whole path component.
+bool underDir(const std::string& path, const char* dir) {
+  std::string p = path;
+  while (p.rfind("./", 0) == 0) p = p.substr(2);
+  const std::string d = std::string(dir) + "/";
+  return p.rfind(d, 0) == 0 || p.find("/" + d) != std::string::npos;
 }
 
 /// The lexed view of one file: `code` is a same-length copy with
@@ -463,12 +474,294 @@ void ruleKernelMemEffects(const std::string& path, const Lexed& lx,
   }
 }
 
+// ---- rule: unused-decl (whole-repo pass) ---------------------------------
+
+/// Where a file's references count: production code (every directory
+/// that ships or measures the system), tests, or neither.
+enum class RefScope { kProduction, kTests, kNone };
+
+RefScope refScope(const std::string& path) {
+  for (const char* dir : {"src", "bench", "perfbench", "examples", "tools"}) {
+    if (underDir(path, dir)) return RefScope::kProduction;
+  }
+  return underDir(path, "tests") ? RefScope::kTests : RefScope::kNone;
+}
+
+/// Copy of `code` with preprocessor lines (and their backslash
+/// continuations) blanked, so `#include <x>` and macro bodies never look
+/// like declarations.
+std::string blankPreprocessor(std::string code) {
+  bool directive = false;
+  bool line_start = true;
+  char prev = '\0';  // the previous character before blanking
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const char c = code[i];
+    if (c == '\n') {
+      directive = directive && prev == '\\';
+      line_start = true;
+    } else {
+      if (line_start && c == '#') directive = true;
+      if (c != ' ' && c != '\t') line_start = false;
+      if (directive) code[i] = ' ';
+    }
+    prev = c;
+  }
+  return code;
+}
+
+/// Words that can precede a '(' in a declaration statement without
+/// naming a function.
+bool notAFunctionName(const std::string& w) {
+  static const char* kWords[] = {
+      "if",     "for",     "while",   "switch",   "return",   "sizeof",
+      "alignof", "alignas", "decltype", "noexcept", "void",    "throw",
+      "catch",  "new",     "delete",  "typeid",   "requires", "explicit",
+      "__attribute__"};
+  return std::find(std::begin(kWords), std::end(kWords), w) !=
+         std::end(kWords);
+}
+
+/// One name a declaration or definition introduces: the first
+/// `identifier (` of a statement in namespace or class scope.
+struct DeclSite {
+  std::string name;
+  std::size_t offset = 0;
+  /// An unqualified, non-constructor function name: what unused-decl
+  /// checks when the file is a src/ header.
+  bool candidate = false;
+};
+
+/// The declaration site of statement [begin, end), if it declares or
+/// defines a function. Variables with initializers, using/typedef/
+/// friend statements, operators and destructors introduce none.
+void statementDecl(const std::string& code, std::size_t begin,
+                   std::size_t end, const std::string& class_name,
+                   std::vector<DeclSite>* out) {
+  int angle = 0;
+  int bracket = 0;
+  bool after_ident = false;
+  std::string ident;
+  std::size_t ident_at = 0;
+  for (std::size_t j = begin; j < end;) {
+    const char c = code[j];
+    if (isIdentChar(c)) {
+      std::size_t k = j;
+      while (k < end && isIdentChar(code[k])) ++k;
+      const bool word = std::isdigit(static_cast<unsigned char>(c)) == 0;
+      if (word && angle == 0 && bracket == 0) {
+        ident = code.substr(j, k - j);
+        for (const char* stop :
+             {"using", "typedef", "friend", "static_assert", "operator"}) {
+          if (ident == stop) return;
+        }
+        ident_at = j;
+        after_ident = true;
+      }
+      j = k;
+      continue;
+    }
+    if (c == ' ' || c == '\t' || c == '\n') {
+      ++j;
+      continue;
+    }
+    if (c == '<') {
+      ++angle;
+    } else if (c == '>') {
+      if (angle > 0 && (j == 0 || code[j - 1] != '-')) --angle;
+    } else if (c == '[') {
+      ++bracket;
+    } else if (c == ']') {
+      if (bracket > 0) --bracket;
+    } else if (angle == 0 && bracket == 0) {
+      if (c == '=') return;  // a variable and its initializer
+      if (c == '(') {
+        if (!after_ident || notAFunctionName(ident)) return;
+        const std::size_t p = prevNonSpace(code, ident_at);
+        const bool has_prev = p != std::string::npos && p >= begin;
+        if (has_prev && (code[p] == '.' || code[p] == '~' ||
+                         (code[p] == '>' && p > 0 && code[p - 1] == '-'))) {
+          return;  // a call on an object, or a destructor
+        }
+        const bool qualified =
+            has_prev && p > begin && code[p] == ':' && code[p - 1] == ':';
+        out->push_back({ident, ident_at, !qualified && ident != class_name});
+        return;
+      }
+    }
+    after_ident = false;
+    ++j;
+  }
+}
+
+/// True when the '{' ending statement [begin, end) opens a namespace,
+/// class, struct or union body (whose statements are declarations);
+/// `name` receives the class name. False for function bodies, lambdas,
+/// enums and brace initializers.
+bool opensScope(const std::string& code, std::size_t begin, std::size_t end,
+                std::string* name) {
+  int angle = 0;
+  int paren = 0;
+  bool scope = false;
+  bool want_name = false;
+  for (std::size_t j = begin; j < end;) {
+    const char c = code[j];
+    if (isIdentChar(c)) {
+      std::size_t k = j;
+      while (k < end && isIdentChar(code[k])) ++k;
+      const std::string w = code.substr(j, k - j);
+      j = k;
+      if (angle > 0 || paren > 0) continue;
+      if (w == "enum") return false;
+      if (w == "namespace" || w == "class" || w == "struct" ||
+          w == "union") {
+        scope = true;
+        want_name = true;
+        name->clear();
+      } else if (w == "extern") {
+        scope = true;  // extern "C" { ... }
+      } else if (want_name && w != "final") {
+        *name = w;
+        want_name = false;
+      }
+      continue;
+    }
+    if (c == '<') {
+      ++angle;
+    } else if (c == '>') {
+      if (angle > 0 && (j == 0 || code[j - 1] != '-')) --angle;
+    } else if (c == '(') {
+      if (angle == 0 && paren == 0) return false;  // a function body
+      ++paren;
+    } else if (c == ')') {
+      if (paren > 0) --paren;
+    } else if (c == ':' && angle == 0 && paren == 0) {
+      want_name = false;  // base clause
+    }
+    ++j;
+  }
+  return scope;
+}
+
+/// Every declaration site in `code` (comments, literals and
+/// preprocessor lines blanked). Statements are only read in namespace
+/// and class scope; function bodies and initializers are skipped whole,
+/// so every name inside them is a reference.
+std::vector<DeclSite> declSites(const std::string& code) {
+  struct Scope {
+    bool declarations;
+    std::string class_name;
+  };
+  std::vector<DeclSite> out;
+  std::vector<Scope> scopes = {{true, ""}};
+  std::size_t stmt = 0;
+  int paren = 0;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const char c = code[i];
+    if (!scopes.back().declarations) {
+      if (c == '{') {
+        scopes.push_back({false, ""});
+      } else if (c == '}') {
+        scopes.pop_back();
+        if (scopes.back().declarations) stmt = i + 1;
+      }
+      continue;
+    }
+    if (c == '(') {
+      ++paren;
+    } else if (c == ')') {
+      if (paren > 0) --paren;
+    } else if (paren > 0) {
+      continue;
+    } else if (c == ';') {
+      statementDecl(code, stmt, i, scopes.back().class_name, &out);
+      stmt = i + 1;
+    } else if (c == '{') {
+      std::string name;
+      if (opensScope(code, stmt, i, &name)) {
+        scopes.push_back({true, name});
+      } else {
+        statementDecl(code, stmt, i, scopes.back().class_name, &out);
+        scopes.push_back({false, ""});
+      }
+      stmt = i + 1;
+    } else if (c == '}') {
+      if (scopes.size() > 1) scopes.pop_back();
+      stmt = i + 1;
+    }
+  }
+  return out;
+}
+
+/// Whole-word identifier occurrences in `code`, minus the file's own
+/// declaration sites: what the file references by name.
+std::map<std::string, int> references(const std::string& code,
+                                      const std::vector<DeclSite>& sites) {
+  std::map<std::string, int> refs;
+  for (std::size_t i = 0; i < code.size();) {
+    if (!isIdentChar(code[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t k = i;
+    while (k < code.size() && isIdentChar(code[k])) ++k;
+    if (std::isdigit(static_cast<unsigned char>(code[i])) == 0) {
+      ++refs[code.substr(i, k - i)];
+    }
+    i = k;
+  }
+  for (const auto& site : sites) --refs[site.name];
+  return refs;
+}
+
+void ruleUnusedDecl(const std::vector<SourceFile>& files,
+                    std::vector<Finding>* out) {
+  struct Candidate {
+    std::size_t file;
+    DeclSite site;
+  };
+  std::vector<Lexed> lexed;
+  lexed.reserve(files.size());
+  std::vector<Candidate> candidates;
+  std::map<std::string, int> production;
+  std::map<std::string, int> tests;
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    lexed.push_back(lex(files[f].content));
+    const std::string& code = lexed.back().code;
+    const auto sites = declSites(blankPreprocessor(code));
+    const RefScope scope = refScope(files[f].path);
+    if (scope != RefScope::kNone) {
+      auto& into = scope == RefScope::kProduction ? production : tests;
+      for (const auto& [name, n] : references(code, sites)) into[name] += n;
+    }
+    if (!ruleAppliesTo("unused-decl", files[f].path)) continue;
+    for (const auto& site : sites) {
+      if (site.candidate) candidates.push_back({f, site});
+    }
+  }
+  for (const auto& [f, site] : candidates) {
+    if (production[site.name] > 0) continue;
+    const bool test_seam = tests[site.name] > 0;
+    addFinding(out, lexed[f], files[f].path, site.offset, "unused-decl",
+               test_seam
+                   ? "function '" + site.name +
+                         "' is called only from tests/ — a test seam in a "
+                         "production header; delete it, or keep it with "
+                         "// pgaslint:allow(unused-decl) and the reason "
+                         "(e.g. a test oracle)"
+                   : "function '" + site.name +
+                         "' is declared but nothing in src/, bench/, "
+                         "perfbench/, examples/, tools/ or tests/ calls "
+                         "it; delete it");
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& allRules() {
   static const std::vector<std::string> kRules = {
       "nondet-rand",     "nondet-clock",    "unordered-iter",
       "func-hot-path",   "ptr-key-ordered", "kernel-mem-effects",
+      "unused-decl",
   };
   return kRules;
 }
@@ -498,19 +791,22 @@ std::string ruleDescription(const std::string& rule) {
     return "KernelDesc construction without a mem_effects declaration "
            "(checked against the pure-compute allowlist)";
   }
+  if (rule == "unused-decl") {
+    return "function declared in a src/ header that no production code "
+           "calls (whole-repo pass; test-only callers need an allow)";
+  }
   return "";
 }
 
 bool ruleAppliesTo(const std::string& rule, const std::string& path) {
-  std::string p = path;
-  while (p.rfind("./", 0) == 0) p = p.substr(2);
-  const auto under = [&p](const char* dir) {
-    const std::string d = std::string(dir) + "/";
-    return p.rfind(d, 0) == 0 || p.find("/" + d) != std::string::npos;
-  };
+  const auto under = [&path](const char* dir) { return underDir(path, dir); };
   if (rule == "nondet-rand" || rule == "nondet-clock" ||
       rule == "kernel-mem-effects") {
     return under("src");
+  }
+  if (rule == "unused-decl") {
+    return under("src") && path.size() > 4 &&
+           path.compare(path.size() - 4, 4, ".hpp") == 0;
   }
   if (rule == "unordered-iter") return under("src") || under("bench");
   if (rule == "func-hot-path") return under("src/sim");
@@ -542,6 +838,23 @@ std::vector<Finding> lintFile(const std::string& path,
   std::stable_sort(out.begin(), out.end(),
                    [](const Finding& a, const Finding& b) {
                      return a.line < b.line;
+                   });
+  return out;
+}
+
+std::vector<Finding> lintRepo(const std::vector<SourceFile>& files,
+                              const Options& opts) {
+  std::vector<Finding> out;
+  if (!opts.rules.empty() &&
+      std::find(opts.rules.begin(), opts.rules.end(), "unused-decl") ==
+          opts.rules.end()) {
+    return out;
+  }
+  ruleUnusedDecl(files, &out);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Finding& a, const Finding& b) {
+                     return a.file != b.file ? a.file < b.file
+                                             : a.line < b.line;
                    });
   return out;
 }

@@ -40,14 +40,31 @@ std::string ruleDescription(const std::string& rule);
 
 /// True when `rule` is checked for a file at repo-relative `path`.
 /// Rules are scoped: the nondeterminism rules cover src/ only (benches
-/// legitimately measure wall-clock), func-hot-path covers src/sim/, and
-/// ptr-key-ordered covers src/, bench/, tests/, and tools/.
+/// legitimately measure wall-clock), func-hot-path covers src/sim/,
+/// ptr-key-ordered covers src/, bench/, tests/, and tools/, and
+/// unused-decl reports on src/ headers.
 bool ruleAppliesTo(const std::string& rule, const std::string& path);
 
 /// Lints one file's contents. `path` should be repo-relative: it picks
 /// which rules apply and is echoed in findings.
 std::vector<Finding> lintFile(const std::string& path,
                               const std::string& content,
+                              const Options& opts);
+
+/// One file of a whole-repo pass.
+struct SourceFile {
+  std::string path;  ///< repo-relative
+  std::string content;
+};
+
+/// Runs the rules that need every file at once — today unused-decl:
+/// a function declared in a src/ header whose name appears in code
+/// (outside comments and strings) only at its own declarations and
+/// definitions. References count from src/, bench/, perfbench/,
+/// examples/ and tools/; a function only tests/ call is flagged as a
+/// test seam. Matching is by name, so an overloaded or common name
+/// counts as used. `files` must be the whole lint set.
+std::vector<Finding> lintRepo(const std::vector<SourceFile>& files,
                               const Options& opts);
 
 /// Parses a pure-kernel allowlist (one name prefix per line; blank

@@ -7,7 +7,11 @@
 // should be repo-relative — the rule scoping keys off the path prefix,
 // so run it from the repository root:
 //
-//   pgaslint --allowlist tools/pgaslint/pure_kernels.allow src bench tests
+//   pgaslint --allowlist tools/pgaslint/pure_kernels.allow
+//            src bench tests examples tools perfbench
+//
+// unused-decl is a whole-repo pass: it sees only the PATHs given, so
+// pass every directory whose calls should count.
 //
 // Exit codes: 0 clean, 1 violations found, 2 usage / IO error.
 #include <algorithm>
@@ -16,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pgaslint/lint.hpp"
@@ -124,25 +129,34 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  int violations = 0;
-  int dirty_files = 0;
+  std::vector<pgaslint::SourceFile> sources;
   for (const auto& file : files) {
     std::string content;
     if (!readFile(file, &content)) {
       std::fprintf(stderr, "pgaslint: cannot read '%s'\n", file.c_str());
       return 2;
     }
-    const auto findings = pgaslint::lintFile(file, content, opts);
-    if (!findings.empty()) ++dirty_files;
-    for (const auto& f : findings) {
-      std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(),
-                  f.message.c_str());
-      ++violations;
-    }
+    sources.push_back({file, std::move(content)});
   }
-  if (violations > 0) {
-    std::printf("pgaslint: %d violation(s) in %d file(s) (%zu scanned)\n",
-                violations, dirty_files, files.size());
+  std::vector<pgaslint::Finding> findings;
+  for (const auto& source : sources) {
+    const auto found = pgaslint::lintFile(source.path, source.content, opts);
+    findings.insert(findings.end(), found.begin(), found.end());
+  }
+  const auto repo_wide = pgaslint::lintRepo(sources, opts);
+  findings.insert(findings.end(), repo_wide.begin(), repo_wide.end());
+
+  std::vector<std::string> dirty;
+  for (const auto& f : findings) {
+    std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(),
+                f.message.c_str());
+    dirty.push_back(f.file);
+  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  if (!findings.empty()) {
+    std::printf("pgaslint: %zu violation(s) in %zu file(s) (%zu scanned)\n",
+                findings.size(), dirty.size(), files.size());
     return 1;
   }
   std::printf("pgaslint: clean (%zu files, %zu rules)\n", files.size(),
