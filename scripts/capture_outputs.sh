@@ -66,6 +66,7 @@ cases=(
   "faults --nodes 2 --gpus 4 --batches 5 --bench-json=fn.json"
   "faults --nodes 2 --gpus 8 --batches 3 --retrievers nccl_collective,pgas_fused,nccl_pipelined --simsan --csv=fn.csv"
   "faults --nodes 4 --gpus 8 --batches 3 --no-coalesce --fault-seed 3"
+  "faults --nodes 4 --gpus 16 --batches 10 --csv="
   # Single-node faults, simsan, strict effects and --no-coalesce.
   "faults --simsan --batches 3 --gpus 2 --no-coalesce --bench-json=f.json --fault-seed 11"
   "weak_scaling --batches 3 --bench-json=wk.json --csv=wk.csv --cache-rows 1000 --zipf-alpha 0.9"

@@ -13,11 +13,11 @@
 //     re-elected (rank 1); outside the window leadership reverts to the
 //     default (rank 0).
 //   - pairDegraded(src_node, dst_node, t): true while a NIC fault window
-//     covers either endpoint node.  Hierarchical traffic between the two
-//     nodes falls back to direct per-flow puts for the duration — a
-//     dropped aggregated bulk flow would couple every member of the node
-//     into one retransmit domain, so degraded pairs go flat while every
-//     healthy pair keeps the hierarchy.
+//     covers either endpoint node.  The hierarchical collective sends the
+//     pair's chunks direct for the duration — a dropped aggregated bulk
+//     flow would couple every member of the node into one reissue domain
+//     — while every healthy pair keeps the hierarchy.  PGAS puts keep
+//     the leader aggregation on every pair (DESIGN.md §13).
 //
 // The structure is immutable after construction; all queries are pure,
 // so the same materialized plan always yields the same elections.
@@ -65,8 +65,8 @@ class NodeFaultDomains {
   }
 
   /// True while a NIC fault window (nic-degrade or nic-flap) covers
-  /// either endpoint node: hierarchical traffic between the two should
-  /// run in per-pair degraded (flat) mode.
+  /// either endpoint node: the hierarchical collective's traffic between
+  /// the two should run in per-pair degraded (flat) mode.
   bool pairDegraded(int src_node, int dst_node, SimTime at) const;
 
  private:

@@ -76,8 +76,8 @@ class FaultInjector {
   /// domains are armed.
   int leaderAt(int node, SimTime at);
 
-  /// True when hierarchical traffic between the two nodes should run in
-  /// per-pair degraded (flat) mode at `at`.
+  /// True when the hierarchical collective's traffic between the two
+  /// nodes should run in per-pair degraded (flat) mode at `at`.
   bool pairDegraded(int src_node, int dst_node, SimTime at) const {
     return domains_ != nullptr && domains_->pairDegraded(src_node, dst_node, at);
   }

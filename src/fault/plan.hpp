@@ -121,7 +121,7 @@ struct ResilienceStats {
   /// that finished the run after the last switch ("" = no switch).
   std::int64_t fallback_switches = 0;
   std::string fallback_retriever;
-  /// Hierarchical degraded mode: per-node-pair flat-a2a fallback events
+  /// Collective degraded mode: per-node-pair flat-a2a fallback events
   /// (one per rank's traffic to one degraded node pair) and the summed
   /// simulated time spent driving that traffic flat.
   std::int64_t hier_fallbacks = 0;

@@ -11,7 +11,8 @@
 //   encode       the wire bytes of a payload (the codec step)
 //   send         direct transfer, or delivery-tracked retry under faults
 //   leaderAt     the elected staging leader of a node
-//   pairDegraded whether a node pair runs flat, and recordFallback
+//   pairDegraded whether a node pair's collective traffic runs flat,
+//                and recordFallback
 //   coalescable  whether the path is plain enough to coalesce slices
 //
 // A Transport built from a bare fabric is the plain path — no faults, no
@@ -70,8 +71,8 @@ class Transport {
   /// topology default otherwise.
   int leaderAt(int node, SimTime at) const;
 
-  /// True while a NIC fault window puts the node pair in per-pair
-  /// degraded (flat) mode; never without an injector.
+  /// True while a NIC fault window puts the node pair's collective
+  /// traffic in per-pair degraded (flat) mode; never without an injector.
   bool pairDegraded(int src_node, int dst_node, SimTime at) const;
 
   /// Counts one per-node-pair flat fallback whose direct traffic spanned

@@ -72,69 +72,68 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
           system_.stream(src).sanitizerActor());
     }
     using Traffic = fault::Transport::Traffic;
+    using PutResult = fault::FaultInjector::PutResult;
     auto& topo = transport_.fabric().topology();
     const bool hier = transport_.hierarchical();
     const bool seeded_bug =
         san != nullptr &&
         san->seeded(simsan::SeededBug::kRetransmitWithoutQuiet);
     const auto& flows = plan.flows[static_cast<std::size_t>(slice)];
-    // Common put bookkeeping once the *final* delivery time is known:
-    // quiet latches it, and the simsan window spans injection -> landing
-    // (for forwarded puts the leader staging hops are timing-only; the
-    // collective retriever's staging buffers are where simsan certifies
-    // the gather/scatter interleavings).
-    const auto log_put = [&](const auto& f, SimTime delivered) {
-      quiet->last_delivery = std::max(quiet->last_delivery, delivered);
-      if (san != nullptr) {
-        for (const auto& effect : remote_writes) {
-          if (effect.device != f.dst) continue;
-          san->access(quiet->side_actor, effect.device, effect.range,
-                      effect.kind, at, delivered, effect.label);
-        }
-      }
+    // One forwarded hop of a put's route, issued once the route so far is
+    // acked.
+    // Under faults flap-dropped attempts are retransmitted; the route
+    // keeps the acked delivery of its last hop, adds up every hop's
+    // retransmits and keeps the first loss of the earliest hop that
+    // dropped.
+    const auto hop = [&](PutResult route, int from, int to,
+                         std::int64_t bytes, std::int64_t n_messages) {
+      const auto r = transport_.send(Traffic::kPut, from, to, bytes,
+                                     n_messages, route.acked);
+      if (!route.retransmitted()) route.first_loss = r.first_loss;
+      route.attempts += r.attempts - 1;
+      route.acked = r.acked;
+      return route;
     };
-    // Direct put of one flow: under faults flap-dropped attempts are
-    // retransmitted and quiet waits on the *acknowledged* delivery. Only
-    // the fault-free path runs the codec on a direct put; a
-    // delivery-tracked put ships the raw payload (kept as-is for parity
-    // with earlier builds). Returns the acked delivery time.
-    const auto put = [&](const auto& f) {
-      const std::int64_t wire =
-          transport_.injector() != nullptr
-              ? f.payload_bytes
-              : transport_.encode(src, f.dst, f.payload_bytes, at);
-      const auto r = transport_.send(Traffic::kPut, src, f.dst, wire,
-                                     f.n_messages, at);
-      if (!(seeded_bug && r.retransmitted())) {
-        log_put(f, r.acked);
-        return r.acked;
-      }
+    // Lands one logical put once its route (direct, or forwarded through
+    // the leaders) is known: quiet latches the acked delivery, and the
+    // simsan window spans injection -> landing (for forwarded puts the
+    // leader staging hops are timing-only; the collective retriever's
+    // staging buffers are where simsan certifies the gather/scatter
+    // interleavings).
+    const auto land = [&](const auto& f, const PutResult& route) {
       // Seeded bug (simsan certification): quiet latches the loss time of
-      // the dropped attempt instead of the acked retransmit, so kernel
-      // completion no longer covers the recovered write.
-      quiet->last_delivery = std::max(quiet->last_delivery, r.first_loss);
+      // the first dropped attempt instead of the acked retransmit, so
+      // kernel completion no longer covers the recovered write.
+      const bool unquieted = seeded_bug && route.retransmitted();
+      const SimTime quieted = unquieted ? route.first_loss : route.acked;
+      quiet->last_delivery = std::max(quiet->last_delivery, quieted);
+      if (san == nullptr) return;
       for (const auto& effect : remote_writes) {
         if (effect.device != f.dst) continue;
-        // The original attempt dies at the flap...
         san->access(quiet->side_actor, effect.device, effect.range,
-                    effect.kind, at, r.first_loss, effect.label);
-        // ...and the retransmit engine lands the write without being
-        // re-armed under quiet: its actor is never joined, so the
-        // landing races with whoever consumes the destination.
+                    effect.kind, at, quieted, effect.label);
+        if (!unquieted) continue;
+        // The original attempt died at the flap; the retransmit engine
+        // lands the write without being re-armed under quiet: its actor
+        // is never joined, so the landing races with whoever consumes
+        // the destination.
         const auto rogue = san->forkActor(
             "gpu" + std::to_string(src) + ".pgas_put.retransmit",
             quiet->side_actor);
         san->access(rogue, effect.device, effect.range, effect.kind,
-                    r.first_loss, r.acked, effect.label + ".retransmit");
+                    route.first_loss, route.acked,
+                    effect.label + ".retransmit");
       }
-      return r.acked;
     };
     for (const auto& f : flows) {
       if (strict_puts != nullptr) strict_puts->flow(f.dst, f.payload_bytes);
       if (hier && topo.routeClass(src, f.dst) == fabric::LinkClass::kInter) {
-        continue;  // forwarded below, aggregated (or degraded) per node
+        continue;  // forwarded below, aggregated per destination node
       }
-      put(f);
+      land(f, transport_.send(
+                  Traffic::kPut, src, f.dst,
+                  transport_.encode(src, f.dst, f.payload_bytes, at),
+                  f.n_messages, at));
     }
     if (!hier) return;
     // Hierarchical forwarding (DESIGN.md §12): per destination node,
@@ -145,26 +144,13 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
     //      (n_messages = 1 kills the per-256-byte rate padding; the
     //      transport encodes this hop);
     //   3. NVLink scatter: remote leader -> each destination GPU.
+    // NIC faults keep the aggregation (DESIGN.md §13): a degraded NIC
+    // slows the one bulk hop, and a flap drops it for one retransmit.
     const int src_node = topo.nodeOf(src);
     const int leader_s = transport_.leaderAt(src_node, at);
+    const PutResult injected{at, at, 1};  // a route before its first hop
     for (int node = 0; node < topo.numNodes(); ++node) {
       if (node == src_node) continue;
-      if (transport_.pairDegraded(src_node, node, at)) {
-        // Per-pair degraded mode: a NIC fault window covers one of the
-        // endpoint nodes, so this pair's traffic skips the leader
-        // staging (a dropped aggregate would couple the whole node into
-        // one retransmit domain) and goes direct, flow by flow. Every
-        // healthy pair below keeps the hierarchy.
-        SimTime last = at;
-        bool any = false;
-        for (const auto& f : flows) {
-          if (topo.nodeOf(f.dst) != node) continue;
-          last = std::max(last, put(f));
-          any = true;
-        }
-        if (any) transport_.recordFallback(at, last);
-        continue;
-      }
       std::int64_t to_node = 0;
       std::int64_t msgs = 0;
       for (const auto& f : flows) {
@@ -175,31 +161,22 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
       if (to_node == 0) {
         // Nothing to ship; empty puts complete at injection.
         for (const auto& f : flows) {
-          if (topo.nodeOf(f.dst) != node) continue;
-          log_put(f, at);
+          if (topo.nodeOf(f.dst) == node) land(f, injected);
         }
         continue;
       }
-      SimTime staged = at;
-      if (src != leader_s) {
-        staged = transport_.send(Traffic::kPut, src, leader_s, to_node, msgs,
-                                 at).acked;
-      }
-      const int leader_d = transport_.leaderAt(node, staged);
-      const std::int64_t wire =
-          transport_.encode(leader_s, leader_d, to_node, staged);
-      const SimTime landed =
-          transport_.send(Traffic::kPut, leader_s, leader_d, wire, 1, staged)
-              .acked;
+      PutResult staged = injected;
+      if (src != leader_s) staged = hop(staged, src, leader_s, to_node, msgs);
+      const int leader_d = transport_.leaderAt(node, staged.acked);
+      const PutResult landed =
+          hop(staged, leader_s, leader_d,
+              transport_.encode(leader_s, leader_d, to_node, staged.acked),
+              1);
       for (const auto& f : flows) {
         if (topo.nodeOf(f.dst) != node) continue;
-        SimTime done = landed;
-        if (f.dst != leader_d) {
-          done = transport_.send(Traffic::kPut, leader_d, f.dst,
-                                 f.payload_bytes, f.n_messages, landed)
-                     .acked;
-        }
-        log_put(f, done);
+        land(f, f.dst == leader_d ? landed
+                                  : hop(landed, leader_d, f.dst,
+                                        f.payload_bytes, f.n_messages));
       }
     }
   };

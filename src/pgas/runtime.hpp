@@ -34,8 +34,8 @@ class PgasRuntime {
   /// node) into one bulk message, which is what the codec encodes; quiet
   /// covers the forwarded hops. Under an armed injector every put and
   /// hop is delivery-tracked (quiet waits for the acknowledged
-  /// delivery), leaders follow leader-fail failover, and node pairs
-  /// inside a NIC fault window fall back to direct per-flow puts.
+  /// delivery), leaders follow leader-fail failover, and NIC fault
+  /// windows keep the aggregation: they slow or drop the bulk hop.
   /// Strict effects account the original payload.
   /// A bare fabric gives the plain, fault-free, flat path.
   PgasRuntime(gpu::MultiGpuSystem& system, fault::Transport transport);

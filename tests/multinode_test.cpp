@@ -202,9 +202,10 @@ TEST(MultiNodeGoldenTest, HierarchyCodecAndNodeFaultsMatchPinnedTotals) {
   // 2 nodes x 2 GPUs with every inter-node mechanism armed at once:
   // hierarchical staging, the adaptive codec, a leader failover on
   // node 1 and NIC flaps on both nodes (pinned windows, so the schedule
-  // is explicit). Exact values (times in ps) recorded before the inter-node
-  // transport refactor: any drift means the inter-node path changed
-  // behavior.
+  // is explicit). Exact values (times in ps): any drift means the
+  // inter-node path changed behavior. The pgas_fused row was re-pinned
+  // when PGAS puts kept the leader aggregation under NIC faults (no
+  // per-pair flat fallback) and direct puts always run the codec.
   struct Golden {
     const char* retriever;
     std::int64_t total_ps;
@@ -238,11 +239,10 @@ TEST(MultiNodeGoldenTest, HierarchyCodecAndNodeFaultsMatchPinnedTotals) {
     return s;
   };
   const Golden golden[] = {
-      {"pgas_fused", 2557900872, 90959856, 296318,
-       {39903168, 38136, 119358912.0, 70975488, 277248, 79847424.0},
-       45809664, 15331248,
-       resilience(11, 8, 131136, 8, 131136, 0, 1494280177, 138,
-                  177398898455, 1, 0)},
+      {"pgas_fused", 1430082935, 91728960, 296456,
+       {32397408, 3084, 32594784.0, 75497472, 294912, 84934656.0},
+       50331648, 16100352,
+       resilience(11, 8, 131136, 8, 131136, 0, 1494280177, 0, 0, 1, 0)},
       {"nccl_collective", 7957009042, 85852280, 39,
        {52166880, 36, 139938738.10000002, 58720256, 20,
         335547976.51199996},
@@ -420,6 +420,25 @@ TEST(CompressionTest, FunctionalErrorStaysWithinBound) {
   }
 }
 
+TEST(CompressionTest, DirectPutsEncodeUnderFaults) {
+  // Flat (hierarchy-off) PGAS puts cross nodes one flow at a time. An
+  // armed injector must not change what they ship: a flap retransmits
+  // the encoded flow, so the codec sees the same flows as without it.
+  ExperimentConfig clean = sweepConfig(2, 2);
+  clean.compress_bound = 1e-2;
+  ExperimentConfig flapped = clean;
+  flapped.faults = fault::FaultPlan::parse("nic-flap:0:0.3-0.9", 7);
+  const ExperimentResult a = ScenarioRunner(clean).run("pgas_fused");
+  const ExperimentResult b = ScenarioRunner(flapped).run("pgas_fused");
+  ASSERT_TRUE(a.compression.has_value());
+  ASSERT_TRUE(b.compression.has_value());
+  ASSERT_TRUE(b.resilience.has_value());
+  EXPECT_GT(b.resilience->retransmits, 0);
+  EXPECT_GT(a.compression->raw_bytes, 0);
+  EXPECT_EQ(b.compression->raw_bytes, a.compression->raw_bytes);
+  EXPECT_EQ(b.compression->wire_bytes, a.compression->wire_bytes);
+}
+
 TEST(CompressionTest, ValidationRejectsInconsistentFlags) {
   ExperimentConfig adaptive_without_bound = sweepConfig(2, 2);
   adaptive_without_bound.compress_adaptive = true;
@@ -526,27 +545,34 @@ TEST(NodeFaultDomainTest, LeaderFailoverElectsStandbyAndRebuildsStaging) {
 }
 
 TEST(NodeFaultDomainTest, PerPairFallbackConfinedAndBeatsGlobalFlat) {
-  // One node's NIC degraded for the whole run at 4 nodes: only pairs
-  // touching that node fall back to flat routing; the other pairs keep
-  // the hierarchy, so the run must beat the same fault on a fully flat
-  // (hierarchy-off) configuration — the PR 9 behaviour this replaces.
+  // One node's NIC degraded for the whole run at 4 nodes. The collective
+  // retrievers fall back to flat routing only on pairs touching that
+  // node; PGAS puts keep the leader aggregation on every pair (the
+  // degraded NIC only slows their bulk hop). Either way the run must
+  // beat the same fault on a fully flat (hierarchy-off) configuration.
   const std::string spec = "nic-degrade:0:0.5:0.0-1000000.0";
   for (const auto& name : kRetrievers) {
     ExperimentConfig one = faultedConfig(4, 2, spec);
     const ExperimentResult scoped = ScenarioRunner(one).run(name);
     ASSERT_TRUE(scoped.resilience.has_value()) << name;
-    EXPECT_GT(scoped.resilience->hier_fallbacks, 0) << name;
-    EXPECT_GT(scoped.resilience->degraded_time, SimTime::zero()) << name;
-
-    // Confinement: degrading every node's NIC must fall back on more
-    // pairs than degrading node 0 alone.
     ExperimentConfig all =
         faultedConfig(4, 2, "nic-degrade:*:0.5:0.0-1000000.0");
     const ExperimentResult global = ScenarioRunner(all).run(name);
     ASSERT_TRUE(global.resilience.has_value()) << name;
-    EXPECT_GT(global.resilience->hier_fallbacks,
-              scoped.resilience->hier_fallbacks)
-        << name;
+    if (name == "pgas_fused") {
+      for (const ExperimentResult* r : {&scoped, &global}) {
+        EXPECT_EQ(r->resilience->hier_fallbacks, 0) << name;
+        EXPECT_EQ(r->resilience->degraded_time, SimTime::zero()) << name;
+      }
+    } else {
+      EXPECT_GT(scoped.resilience->hier_fallbacks, 0) << name;
+      EXPECT_GT(scoped.resilience->degraded_time, SimTime::zero()) << name;
+      // Confinement: degrading every node's NIC must fall back on more
+      // pairs than degrading node 0 alone.
+      EXPECT_GT(global.resilience->hier_fallbacks,
+                scoped.resilience->hier_fallbacks)
+          << name;
+    }
 
     // And the scoped degraded mode strictly beats running the whole
     // exchange flat under the same fault.
@@ -555,6 +581,39 @@ TEST(NodeFaultDomainTest, PerPairFallbackConfinedAndBeatsGlobalFlat) {
     const ExperimentResult f = ScenarioRunner(flat).run(name);
     EXPECT_LT(scoped.avgBatchMs(), f.avgBatchMs()) << name;
   }
+}
+
+TEST(NodeFaultDomainTest, PgasKeepsLeaderAggregationUnderNicFaults) {
+  // A half-speed NIC for the whole run must not break PGAS puts into
+  // per-flow traffic: every slice still ships one aggregated message per
+  // (leader, leader) pair, and since only the NIC-bound part of the
+  // batch slows down, the batch takes at most twice the fault-free time.
+  ExperimentConfig clean_cfg = sweepConfig(4, 2);
+  clean_cfg.hierarchical_a2a = true;
+  const ExperimentResult clean = ScenarioRunner(clean_cfg).run("pgas_fused");
+  ASSERT_TRUE(clean.inter_node.has_value());
+
+  const ExperimentResult degraded =
+      ScenarioRunner(faultedConfig(4, 2, "nic-degrade:1:0.5:0.0-1000000.0"))
+          .run("pgas_fused");
+  ASSERT_TRUE(degraded.inter_node.has_value());
+  ASSERT_TRUE(degraded.resilience.has_value());
+  EXPECT_EQ(degraded.inter_node->inter_messages,
+            clean.inter_node->inter_messages);
+  EXPECT_LE(degraded.avgBatchMs(), 2.0 * clean.avgBatchMs());
+  EXPECT_EQ(degraded.resilience->hier_fallbacks, 0);
+
+  // A flap inside the first batch drops aggregated leader hops; each is
+  // retransmitted once and the run completes every batch.
+  const ExperimentResult flapped =
+      ScenarioRunner(faultedConfig(4, 2, "nic-flap:1:0.3-0.9"))
+          .run("pgas_fused");
+  ASSERT_TRUE(flapped.resilience.has_value());
+  const auto& rs = *flapped.resilience;
+  EXPECT_EQ(flapped.stats.batches, clean_cfg.num_batches);
+  EXPECT_GT(rs.dropped_flows, 0);
+  EXPECT_EQ(rs.dropped_flows, rs.retransmits);
+  EXPECT_EQ(rs.hier_fallbacks, 0);
 }
 
 TEST(NodeFaultDomainTest, NicFlapDropsRecoverWithConservedCounters) {
@@ -647,6 +706,31 @@ TEST(MultiNodeSimsanTest, SeededRebuildWithoutRequietIsCaughtByName) {
     if (v.message.find("emb_hier_rebuild") != std::string::npos) named = true;
   }
   EXPECT_TRUE(named) << s.report();
+}
+
+TEST(MultiNodeSimsanTest, SeededRetransmitWithoutQuietOnForwardedHop) {
+  // With the hierarchy on, every inter-node PGAS retransmit is of a
+  // forwarded leader hop. The seeded bug lands the recovered write
+  // outside quiet; simsan must flag it by name, and the same run
+  // without the bug must stay clean.
+  ExperimentConfig cfg = faultedConfig(2, 2, "nic-flap:0:0.3-0.9");
+  cfg.simsan = SimsanMode::kChecker;
+  const ExperimentResult fixed =
+      runWithSeededBug(cfg, "pgas_fused", simsan::SeededBug::kNone);
+  ASSERT_TRUE(fixed.sanitizer.has_value());
+  ASSERT_TRUE(fixed.resilience.has_value());
+  ASSERT_GT(fixed.resilience->retransmits, 0);  // the bug path would run
+  EXPECT_TRUE(fixed.sanitizer->clean()) << fixed.sanitizer->report();
+
+  const ExperimentResult buggy = runWithSeededBug(
+      cfg, "pgas_fused", simsan::SeededBug::kRetransmitWithoutQuiet);
+  ASSERT_TRUE(buggy.sanitizer.has_value());
+  EXPECT_FALSE(buggy.sanitizer->clean());
+  bool named = false;
+  for (const auto& v : buggy.sanitizer->violations) {
+    if (v.message.find("retransmit") != std::string::npos) named = true;
+  }
+  EXPECT_TRUE(named) << buggy.sanitizer->report();
 }
 
 TEST(MultiNodeSimsanTest, SeededScatterBeforeInterFlowIsFlagged) {
