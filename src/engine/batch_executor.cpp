@@ -12,11 +12,20 @@ BatchExecutor::BatchExecutor(SystemBuilder& builder,
                              const std::string& retriever_name,
                              SloMode slo_mode)
     : builder_(builder),
-      retriever_(core::RetrieverRegistry::instance().create(
-          retriever_name, builder.context())),
+      wire_series_(builder.config().counter_bucket),
       slo_(builder.config().fallback),
       slo_mode_(slo_mode),
-      active_(retriever_name) {}
+      active_(retriever_name) {
+  // Attached before the retriever exists, so the series sees every flow
+  // of the run.
+  builder_.fabric().setDeliverySeries(&wire_series_);
+  retriever_ = core::RetrieverRegistry::instance().create(retriever_name,
+                                                          builder.context());
+}
+
+BatchExecutor::~BatchExecutor() {
+  builder_.fabric().setDeliverySeries(nullptr);
+}
 
 core::BatchTiming BatchExecutor::runOne(const emb::SparseBatch& batch,
                                         ExperimentResult& result) {
@@ -115,11 +124,11 @@ void finalizeResult(SystemBuilder& builder, BatchExecutor& exec,
     }
   }
 
-  // Delivery (wire-occupancy) counter: for PGAS this matches the paper's
+  // Delivery (wire-occupancy) series: for PGAS this matches the paper's
   // in-kernel issue counter; for the baseline it spreads each chunk over
   // its serialization window, exactly the paper's "linearly interpolated
   // over the communication time" dashed line.
-  const auto& counter = builder.fabric().deliveryCounter();
+  const auto& counter = exec.wireSeries();
   result.bucket_width = counter.bucketWidth();
   result.wire_bytes_over_time.resize(counter.numBuckets());
   for (std::size_t i = 0; i < counter.numBuckets(); ++i) {

@@ -15,6 +15,7 @@
 #include "core/fallback.hpp"
 #include "core/retriever.hpp"
 #include "engine/system_builder.hpp"
+#include "fabric/time_series_counter.hpp"
 
 namespace pgasemb::engine {
 
@@ -26,10 +27,14 @@ class BatchExecutor {
   /// swap to the next maybeSwap() call, between batches.
   enum class SloMode { kPerBatch, kPerQuery };
 
-  /// Creates the initial retriever from the registry. The builder must
-  /// already be reset() onto a fresh clock.
+  /// Attaches the run's wire-delivery series to the builder's fabric,
+  /// then creates the initial retriever from the registry. The builder
+  /// must already be reset() onto a fresh clock and must outlive the
+  /// executor.
   BatchExecutor(SystemBuilder& builder, const std::string& retriever_name,
                 SloMode slo_mode = SloMode::kPerBatch);
+  /// Detaches the series from the fabric.
+  ~BatchExecutor();
 
   /// Runs one batch on the active retriever and records its timing into
   /// `result` (stats + per_batch). In batch mode also feeds the SLO
@@ -60,11 +65,15 @@ class BatchExecutor {
   const std::string& activeName() const { return active_; }
   std::int64_t fallbackSwitches() const { return fallback_switches_; }
   const core::SloTracker& slo() const { return slo_; }
+  /// Payload bytes delivered over the run, bucketed on the config's
+  /// `counter_bucket` grid (the paper's Figs 7/10 comm counter).
+  const fabric::TimeSeriesCounter& wireSeries() const { return wire_series_; }
 
  private:
   void requestSwapIfEligible();
 
   SystemBuilder& builder_;
+  fabric::TimeSeriesCounter wire_series_;
   std::unique_ptr<core::EmbeddingRetriever> retriever_;
   core::SloTracker slo_;
   SloMode slo_mode_;
@@ -75,7 +84,8 @@ class BatchExecutor {
 };
 
 /// The shared run epilogue: resilience accounting, the simsan
-/// output-consumption + leak audit, wire counters, and the ncu-style
+/// output-consumption + leak audit, wire counters (the executor's
+/// delivery series becomes `wire_bytes_over_time`), and the ncu-style
 /// lookup throughput (computed from `throughput_batch`, the full-shape
 /// statistical batch). Destroys the executor's retriever when simsan
 /// is attached (the leak audit requires it).

@@ -305,9 +305,9 @@ struct ExperimentResult {
   core::RetrieverStats stats;
   std::vector<core::BatchTiming> per_batch;
 
-  /// Payload bytes injected into the fabric per time bucket over the full
+  /// Payload bytes the fabric delivered per time bucket over the full
   /// run (paper Figs 7/10 series, in bytes; divide by 256 for the
-  /// paper's units).
+  /// paper's units). Recorded by the run's BatchExecutor.
   std::vector<double> wire_bytes_over_time;
   SimTime bucket_width = SimTime::zero();
 

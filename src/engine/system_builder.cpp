@@ -76,8 +76,8 @@ void SystemBuilder::build() {
     topo = std::make_unique<fabric::NvlinkAllToAllTopology>(config_.num_gpus,
                                                             config_.link);
   }
-  fabric_ = std::make_unique<fabric::Fabric>(
-      system_->simulator(), std::move(topo), config_.counter_bucket);
+  fabric_ = std::make_unique<fabric::Fabric>(system_->simulator(),
+                                             std::move(topo));
 
   layer_ = std::make_unique<emb::ShardedEmbeddingLayer>(
       *system_, config_.layer, config_.sharding);

@@ -5,12 +5,8 @@
 
 namespace pgasemb::fabric {
 
-Fabric::Fabric(sim::Simulator& simulator, std::unique_ptr<Topology> topology,
-               SimTime counter_bucket_width)
-    : simulator_(simulator),
-      topology_(std::move(topology)),
-      injected_(counter_bucket_width),
-      delivered_(counter_bucket_width) {
+Fabric::Fabric(sim::Simulator& simulator, std::unique_ptr<Topology> topology)
+    : simulator_(simulator), topology_(std::move(topology)) {
   PGASEMB_CHECK(topology_ != nullptr, "fabric needs a topology");
 }
 
@@ -53,9 +49,8 @@ Fabric::Delivery Fabric::transfer(int src, int dst,
       flow_observer_(src, dst, payload_bytes, n_messages, wire_start,
                      d.delivered);
     }
-    injected_.add(at, static_cast<double>(payload_bytes));
-    if (!d.dropped) {
-      delivered_.add(d.delivered, static_cast<double>(payload_bytes));
+    if (delivery_series_ != nullptr && !d.dropped) {
+      delivery_series_->add(d.delivered, static_cast<double>(payload_bytes));
     }
     total_payload_bytes_ += payload_bytes;
     total_messages_ += n_messages;
@@ -94,8 +89,6 @@ bool Fabric::coalescingSafe() const {
 }
 
 void Fabric::reset() {
-  injected_.reset();
-  delivered_.reset();
   total_payload_bytes_ = 0;
   total_messages_ = 0;
   for (Link* link : topology_->links()) link->reset();

@@ -3,8 +3,8 @@
 // A "flow" is a batch of same-destination messages injected at one
 // simulated instant — a collective chunk (one big message) or a slice of
 // warp-coalesced PGAS stores (many 256-byte messages).  The fabric
-// serializes flows hop by hop through the route's FIFO links, records
-// byte counters over time, and reports the delivery time.
+// serializes flows hop by hop through the route's FIFO links, counts
+// payload bytes and messages, and reports the delivery time.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,7 @@ namespace pgasemb::fabric {
 
 class Fabric {
  public:
-  Fabric(sim::Simulator& simulator, std::unique_ptr<Topology> topology,
-         SimTime counter_bucket_width = SimTime::us(5.0));
+  Fabric(sim::Simulator& simulator, std::unique_ptr<Topology> topology);
 
   int numGpus() const { return topology_->numGpus(); }
   Topology& topology() { return *topology_; }
@@ -53,12 +52,14 @@ class Fabric {
                     std::function<void(SimTime)> on_delivered = nullptr,
                     double bandwidth_fraction = 1.0);
 
-  /// Bytes put on the wire over time (payload only), all flows: the
-  /// issue-time view of the paper's comm counter (Figs 7/10).
-  // pgaslint:allow(unused-decl) tests certify every put lands in it
-  const TimeSeriesCounter& injectionCounter() const { return injected_; }
-  /// Bytes delivered over time (payload only), all flows.
-  const TimeSeriesCounter& deliveryCounter() const { return delivered_; }
+  /// Sink for the bytes delivered over time (payload only, every flow
+  /// that is not dropped): the paper's comm counter (Figs 7/10). Not
+  /// owned; nullptr (the default) records no series, so a run nobody
+  /// plots keeps no memory per simulated microsecond. The engine's
+  /// BatchExecutor attaches one for its run.
+  void setDeliverySeries(TimeSeriesCounter* series) {
+    delivery_series_ = series;
+  }
 
   std::int64_t totalPayloadBytes() const { return total_payload_bytes_; }
   std::int64_t totalMessages() const { return total_messages_; }
@@ -95,14 +96,14 @@ class Fabric {
   /// per-kernel slice coalescing.
   bool coalescingSafe() const;
 
-  /// Clear counters and link occupancy (new experiment, same topology).
+  /// Clear the totals and link occupancy (new experiment, same
+  /// topology). An attached delivery series is its owner's to clear.
   void reset();
 
  private:
   sim::Simulator& simulator_;
   std::unique_ptr<Topology> topology_;
-  TimeSeriesCounter injected_;
-  TimeSeriesCounter delivered_;
+  TimeSeriesCounter* delivery_series_ = nullptr;
   std::int64_t total_payload_bytes_ = 0;
   std::int64_t total_messages_ = 0;
   FlowObserver flow_observer_;

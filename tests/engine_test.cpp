@@ -148,8 +148,7 @@ core::RetrieverStats legacyRun(const engine::ExperimentConfig& config,
   gpu::MultiGpuSystem system(sys_cfg);
   fabric::Fabric fabric(system.simulator(),
                         std::make_unique<fabric::NvlinkAllToAllTopology>(
-                            config.num_gpus, config.link),
-                        config.counter_bucket);
+                            config.num_gpus, config.link));
   collective::Communicator comm(system, fabric);
   pgas::PgasRuntime runtime(system, fabric);
   emb::ShardedEmbeddingLayer layer(system, config.layer, config.sharding);

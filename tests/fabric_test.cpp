@@ -148,6 +148,8 @@ TEST(FabricTest, OnDeliveredFiresAsEvent) {
 TEST(FabricTest, CountersConserveBytes) {
   sim::Simulator sim;
   Fabric fabric(sim, std::make_unique<NvlinkAllToAllTopology>(4, testLink()));
+  TimeSeriesCounter delivered(SimTime::us(10));
+  fabric.setDeliverySeries(&delivered);
   std::int64_t sent = 0;
   for (int s = 0; s < 4; ++s) {
     for (int d = 0; d < 4; ++d) {
@@ -158,10 +160,25 @@ TEST(FabricTest, CountersConserveBytes) {
   }
   sim.run();
   EXPECT_EQ(fabric.totalPayloadBytes(), sent);
-  EXPECT_DOUBLE_EQ(fabric.injectionCounter().total(),
-                   static_cast<double>(sent));
-  EXPECT_DOUBLE_EQ(fabric.deliveryCounter().total(),
-                   static_cast<double>(sent));
+  EXPECT_DOUBLE_EQ(delivered.total(), static_cast<double>(sent));
+}
+
+TEST(FabricTest, DeliverySeriesRecordsOnlyWhileAttached) {
+  sim::Simulator sim;
+  Fabric fabric(sim, std::make_unique<NvlinkAllToAllTopology>(2, testLink()));
+  TimeSeriesCounter delivered(SimTime::us(10));
+  fabric.transfer(0, 1, 1000, 1, SimTime::zero());
+  fabric.setDeliverySeries(&delivered);
+  const auto d = fabric.transfer(0, 1, 3000, 1, SimTime::us(20));
+  fabric.setDeliverySeries(nullptr);
+  fabric.transfer(0, 1, 5000, 1, SimTime::us(40));
+  EXPECT_EQ(fabric.totalPayloadBytes(), 9000);
+  EXPECT_DOUBLE_EQ(delivered.total(), 3000.0);
+  // Bucketed at the delivery time, not the injection time.
+  const auto bucket = static_cast<std::size_t>(d.delivered.count() /
+                                               SimTime::us(10).count());
+  EXPECT_DOUBLE_EQ(delivered.bucket(bucket), 3000.0);
+  EXPECT_EQ(delivered.numBuckets(), bucket + 1);
 }
 
 TEST(FabricTest, DisjointPairsDoNotContend) {
@@ -198,7 +215,7 @@ TEST(FabricTest, ResetClearsCountersAndLinks) {
   fabric.transfer(0, 1, 1000, 1, SimTime::zero());
   fabric.reset();
   EXPECT_EQ(fabric.totalPayloadBytes(), 0);
-  EXPECT_DOUBLE_EQ(fabric.injectionCounter().total(), 0.0);
+  EXPECT_EQ(fabric.totalMessages(), 0);
   const auto d = fabric.transfer(0, 1, 1000, 1, SimTime::zero());
   EXPECT_NEAR(d.delivered.toSec(), 1032.0 / 100e9 + 1e-6, 1e-12);
 }

@@ -114,14 +114,15 @@ TEST(PgasRuntimeTest, AttachedPlanInjectsDuringKernel) {
   desc.name = "fused";
   desc.duration = SimTime::ms(1);
   auto plan = makeUniformPlan({0, 1 << 20}, 0, 16, 256);
+  fabric::TimeSeriesCounter c;
+  rig.fabric.setDeliverySeries(&c);
   rig.runtime.attachMessagePlan(desc, 0, std::move(plan));
   rig.system.launchKernel(0, desc);
   rig.system.syncAll();
   EXPECT_EQ(rig.fabric.totalPayloadBytes(), 1 << 20);
-  // The fabric's injection counter is the paper's in-kernel comm
-  // counter (Figs 7/10): it records every put, spread across the kernel
-  // over several non-empty buckets.
-  const auto& c = rig.fabric.injectionCounter();
+  // The fabric's delivery series is the paper's comm counter (Figs
+  // 7/10): it records every put, spread across the kernel over several
+  // non-empty buckets.
   EXPECT_DOUBLE_EQ(c.total(), 1 << 20);
   int nonzero = 0;
   for (std::size_t i = 0; i < c.numBuckets(); ++i) {

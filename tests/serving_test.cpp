@@ -49,6 +49,8 @@ ExperimentResult legacyRun(const ExperimentConfig& config,
                            const std::string& retriever_name) {
   SystemBuilder builder(config);
   builder.reset();
+  fabric::TimeSeriesCounter counter(config.counter_bucket);
+  builder.fabric().setDeliverySeries(&counter);
   std::unique_ptr<core::EmbeddingRetriever> retriever =
       core::RetrieverRegistry::instance().create(retriever_name,
                                                  builder.context());
@@ -96,7 +98,7 @@ ExperimentResult legacyRun(const ExperimentConfig& config,
     }
   }
 
-  const auto& counter = builder.fabric().deliveryCounter();
+  builder.fabric().setDeliverySeries(nullptr);
   result.bucket_width = counter.bucketWidth();
   result.wire_bytes_over_time.resize(counter.numBuckets());
   for (std::size_t i = 0; i < counter.numBuckets(); ++i) {

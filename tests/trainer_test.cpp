@@ -1,7 +1,7 @@
 // Tests for the full training path: MLP backprop verified against
 // numerical finite-difference gradients, interaction backward, loss
-// decrease over SGD steps, and bit-identical training under both EMB
-// backward schemes.
+// decrease over SGD steps, bit-identical training under both EMB
+// backward schemes, and the pinned paper-scale step totals (E2).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,10 @@
 
 #include "collective/communicator.hpp"
 #include "core/pgas_retriever.hpp"
+#include "core/registry.hpp"
 #include "dlrm/trainer.hpp"
+#include "engine/scenario_runner.hpp"
+#include "engine/system_builder.hpp"
 #include "fabric/fabric.hpp"
 #include "pgas/runtime.hpp"
 #include "util/expect.hpp"
@@ -260,6 +263,50 @@ TEST(TrainerTest, StepReportsAllTimingComponents) {
   EXPECT_GT(r.mlp_backward_time, SimTime::zero());
   EXPECT_GE(r.total, r.emb_forward.total + r.emb_backward.total);
   EXPECT_GT(r.loss, 0.0);
+}
+
+// The four rows of `pgasemb_bench training` (forward retriever x EMB
+// backward scheme): 10 TimingOnly steps each at paper weak scale on 4
+// GPUs, with the bench's model, summed exactly in ps. A TimingOnly
+// trainer never materializes the MLPs.
+TEST(TrainerTest, PaperScaleStepTotalsArePinned) {
+  const auto cfg = engine::weakScalingConfig(4);
+  DlrmConfig model_cfg;
+  model_cfg.dense_dim = 13;
+  model_cfg.top_mlp = {512, 256, cfg.layer.dim};
+  model_cfg.bottom_mlp = {512, 256, 1};
+  struct Row {
+    const char* retriever;
+    BackwardScheme scheme;
+    std::int64_t total_ps;
+  };
+  const Row rows[] = {
+      {"nccl_collective", BackwardScheme::kCollective, 2835928475080},
+      {"nccl_collective", BackwardScheme::kPgasAtomics, 2504877938690},
+      {"pgas_fused", BackwardScheme::kCollective, 2573479624010},
+      {"pgas_fused", BackwardScheme::kPgasAtomics, 2242429087620},
+  };
+  for (const Row& row : rows) {
+    engine::SystemBuilder builder(cfg);
+    DlrmModel model(model_cfg, builder.layer());
+    const auto retriever = core::RetrieverRegistry::instance().create(
+        row.retriever, builder.context());
+    DlrmTrainer trainer(model, *retriever, builder.comm(), builder.runtime(),
+                        0.01f, row.scheme);
+    const auto sparse = emb::SparseBatch::statistical(cfg.layer.batchSpec());
+    Rng rng(1);
+    const auto dense = DenseBatch::generateUniform(cfg.layer.batch_size,
+                                                   model_cfg.dense_dim, rng);
+    SimTime total = SimTime::zero();
+    for (int s = 0; s < 10; ++s) total += trainer.step(dense, sparse).total;
+    const std::string what =
+        std::string(row.retriever) +
+        (row.scheme == BackwardScheme::kPgasAtomics ? " + pgas atomics"
+                                                    : " + collective rounds");
+    EXPECT_EQ(total.count(), row.total_ps) << what;
+    EXPECT_FALSE(model.topMlp().materialized()) << what;
+    EXPECT_FALSE(model.bottomMlp().materialized()) << what;
+  }
 }
 
 TEST(TrainerTest, LabelsAreDeterministicBinary) {
