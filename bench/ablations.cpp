@@ -186,7 +186,7 @@ double overlapBatchMs(int gpus, int slices, Topo topo, int batches) {
       t = std::make_unique<fabric::RingTopology>(gpus, pair_link);
       break;
   }
-  fabric::Fabric fabric(system.simulator(), std::move(t));
+  fabric::Fabric fabric(std::move(t));
   pgas::PgasRuntime runtime(system, fabric);
   const auto spec = emb::weakScalingLayerSpec(gpus);
   emb::ShardedEmbeddingLayer layer(system, spec);

@@ -272,14 +272,13 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
 
 namespace {
 // Self-registration: the NCCL-collective baseline is created by name
-// through the registry ("nccl_baseline" kept as a legacy alias).
+// through the registry.
 const RetrieverRegistrar kRegistrar{
     "nccl_collective",
     [](const SystemContext& ctx) -> std::unique_ptr<EmbeddingRetriever> {
       return std::make_unique<CollectiveRetriever>(ctx.layer, ctx.comm,
                                                    ctx.cache);
-    },
-    /*aliases=*/{"nccl_baseline"}};
+    }};
 }  // namespace
 
 }  // namespace pgasemb::core

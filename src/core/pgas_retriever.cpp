@@ -102,7 +102,6 @@ BatchTiming PgasFusedRetriever::runBatch(const emb::SparseBatch& batch) {
         row_wise ? nullptr : transport.codec(),
         transport.fabric().topology().gpusPerNode());
     runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                               options_.aggregator,
                                std::move(fused.remote_writes));
     system.launchKernel(g, std::move(fused.desc));
   }
@@ -134,7 +133,6 @@ const RetrieverRegistrar kRegistrar{
     [](const SystemContext& ctx) -> std::unique_ptr<EmbeddingRetriever> {
       PgasRetrieverOptions opts;
       opts.slices = ctx.pgas_slices;
-      opts.aggregator = ctx.aggregator;
       opts.cache = ctx.cache;
       return std::make_unique<PgasFusedRetriever>(ctx.layer, ctx.runtime,
                                                   opts);

@@ -21,8 +21,6 @@ struct PgasRetrieverOptions {
   /// Kernel-timeline subdivisions for message injection; higher = finer
   /// overlap granularity (and finer Figs 7/10 traces).
   int slices = 128;
-  /// Optional async aggregator (paper §V future work / multi-node).
-  const pgas::AggregatorParams* aggregator = nullptr;
   /// Optional hot-row replica cache: the fused kernel probes its indices
   /// against the replica in-kernel, then computes and puts misses only
   /// (fewer messages AND fewer headers, shorter quiet); after an

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/retriever.hpp"
-#include "pgas/aggregator.hpp"
 
 namespace pgasemb {
 namespace collective {
@@ -47,16 +46,14 @@ struct SystemContext {
 
   /// PGAS fused: kernel-timeline subdivisions for message injection.
   int pgas_slices = 128;
-  /// PGAS fused: optional async aggregator (multi-node, paper §V).
-  const pgas::AggregatorParams* aggregator = nullptr;
   /// Pipelined collective: in-flight batches (2 = double buffering).
   int pipeline_depth = 2;
   /// Hot-row replica cache (nullptr = disabled); retrievers that honor
   /// it serve hit bags from the local replica and exchange only misses.
   emb::ReplicaCache* cache = nullptr;
   // Multi-node state is read from comm/runtime: their shared
-  // fault::Transport (hierarchy, codec, elected leaders) and the
-  // communicator's leader staging.
+  // fault::Transport (hierarchy, codec, elected leaders), the runtime's
+  // async aggregator and the communicator's leader staging.
 };
 
 class RetrieverRegistry {
@@ -67,26 +64,23 @@ class RetrieverRegistry {
   /// The process-wide registry (builtins are registered on first use).
   static RetrieverRegistry& instance();
 
-  /// Registers `factory` under `name`; `aliases` resolve to the same
-  /// factory but are not listed by names(). Re-registering a name
-  /// replaces the previous factory (last registration wins).
-  void add(const std::string& name, Factory factory,
-           const std::vector<std::string>& aliases = {});
+  /// Registers `factory` under `name`. Re-registering a name replaces
+  /// the previous factory (last registration wins).
+  void add(const std::string& name, Factory factory);
 
   bool contains(const std::string& name) const;
 
   /// Instantiates the named strategy against `ctx`. Throws
-  /// InvalidArgumentError listing the known names if `name` (or an
-  /// alias) is not registered.
+  /// InvalidArgumentError listing the known names if `name` is not
+  /// registered.
   std::unique_ptr<EmbeddingRetriever> create(const std::string& name,
                                              const SystemContext& ctx) const;
 
-  /// Sorted canonical (non-alias) names.
+  /// Sorted registered names.
   std::vector<std::string> names() const;
 
  private:
   std::map<std::string, Factory> factories_;
-  std::map<std::string, std::string> aliases_;
 };
 
 /// Self-registration helper: a namespace-scope
@@ -98,9 +92,8 @@ class RetrieverRegistry {
 /// name them as strings.
 struct RetrieverRegistrar {
   RetrieverRegistrar(const std::string& name,
-                     RetrieverRegistry::Factory factory,
-                     const std::vector<std::string>& aliases = {}) {
-    RetrieverRegistry::instance().add(name, std::move(factory), aliases);
+                     RetrieverRegistry::Factory factory) {
+    RetrieverRegistry::instance().add(name, std::move(factory));
   }
 };
 

@@ -22,20 +22,6 @@
 
 namespace pgasemb::core {
 
-/// Paper-style three-way split, shared by `BatchTiming` and
-/// `RetrieverStats`: "Communication" is the pure wire time, and
-/// "Sync + Unpack" is everything else in the comm and unpack phases.
-/// The comm-phase residual is clamped at zero so a retriever whose wire
-/// time exceeds its comm phase (e.g. communication fully hidden behind
-/// compute) can never report a negative component.
-inline SimTime communicationSplit(SimTime wire_time) { return wire_time; }
-inline SimTime syncUnpackSplit(SimTime comm_phase, SimTime wire_time,
-                               SimTime unpack_phase) {
-  const SimTime residual = comm_phase - wire_time;
-  return (residual > SimTime::zero() ? residual : SimTime::zero()) +
-         unpack_phase;
-}
-
 /// Timing of one EMB-layer forward pass (simulated host wall clock).
 struct BatchTiming {
   SimTime total = SimTime::zero();
@@ -61,30 +47,25 @@ struct BatchTiming {
   double cache_hits = 0.0;
   double cache_saved_bytes = 0.0;
 
-  /// Paper-style three-way split (baseline).
-  SimTime communication() const { return communicationSplit(wire_time); }
+  /// Paper-style three-way split (baseline): "Communication" is the
+  /// pure wire time, and "Sync + Unpack" is everything else in the comm
+  /// and unpack phases. The comm-phase residual is clamped at zero so a
+  /// retriever whose wire time exceeds its comm phase (e.g. communication
+  /// fully hidden behind compute) can never report a negative component.
+  SimTime communication() const { return wire_time; }
   SimTime syncUnpack() const {
-    return syncUnpackSplit(comm_phase, wire_time, unpack_phase);
+    const SimTime residual = comm_phase - wire_time;
+    return (residual > SimTime::zero() ? residual : SimTime::zero()) +
+           unpack_phase;
   }
 };
 
-/// Accumulates timings over an experiment's batches.
-struct RetrieverStats {
+/// Accumulates timings over an experiment's batches: the same fields,
+/// summed, plus the batch count.
+struct RetrieverStats : BatchTiming {
   int batches = 0;
-  SimTime total = SimTime::zero();
-  SimTime compute_phase = SimTime::zero();
-  SimTime comm_phase = SimTime::zero();
-  SimTime unpack_phase = SimTime::zero();
-  SimTime wire_time = SimTime::zero();
-  double cache_lookups = 0.0;
-  double cache_hits = 0.0;
-  double cache_saved_bytes = 0.0;
 
   void add(const BatchTiming& t);
-  SimTime communication() const { return communicationSplit(wire_time); }
-  SimTime syncUnpack() const {
-    return syncUnpackSplit(comm_phase, wire_time, unpack_phase);
-  }
   double cacheHitRate() const {
     return cache_lookups > 0.0 ? cache_hits / cache_lookups : 0.0;
   }

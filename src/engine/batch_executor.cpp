@@ -8,6 +8,11 @@
 
 namespace pgasemb::engine {
 
+namespace {
+/// Registry name of the strategy the SLO fallback degrades to.
+constexpr const char* kFallbackRetriever = "nccl_collective";
+}  // namespace
+
 BatchExecutor::BatchExecutor(SystemBuilder& builder,
                              const std::string& retriever_name,
                              SloMode slo_mode)
@@ -47,12 +52,8 @@ bool BatchExecutor::recordQueryLatency(SimTime latency) {
 
 void BatchExecutor::requestSwapIfEligible() {
   // The tracker fired (it fires exactly once); the swap only proceeds
-  // when the fallback target is a different, registered strategy.
-  const auto& fallback = builder_.config().fallback;
-  if (fallback.fallback_to != active_ &&
-      core::RetrieverRegistry::instance().contains(fallback.fallback_to)) {
-    swap_pending_ = true;
-  }
+  // when the fallback target is not already the active strategy.
+  if (active_ != kFallbackRetriever) swap_pending_ = true;
 }
 
 bool BatchExecutor::maybeSwap(ExperimentResult& result) {
@@ -66,7 +67,7 @@ bool BatchExecutor::maybeSwap(ExperimentResult& result) {
   result.stats.total += drain;
   result.drains.push_back({batches_run_, active_, drain});
   retriever_.reset();
-  active_ = builder_.config().fallback.fallback_to;
+  active_ = kFallbackRetriever;
   retriever_ = core::RetrieverRegistry::instance().create(
       active_, builder_.context());
   ++fallback_switches_;

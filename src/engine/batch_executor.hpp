@@ -64,7 +64,6 @@ class BatchExecutor {
 
   const std::string& activeName() const { return active_; }
   std::int64_t fallbackSwitches() const { return fallback_switches_; }
-  const core::SloTracker& slo() const { return slo_; }
   /// Payload bytes delivered over the run, bucketed on the config's
   /// `counter_bucket` grid (the paper's Figs 7/10 comm counter).
   const fabric::TimeSeriesCounter& wireSeries() const { return wire_series_; }

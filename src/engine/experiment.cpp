@@ -73,8 +73,6 @@ void ExperimentConfig::validate() const {
   PGASEMB_CHECK(serving.max_wait_ms >= 0.0,
                 "serving max-wait must be >= 0");
   PGASEMB_CHECK(serving.slo_ms >= 0.0, "serving SLO must be >= 0");
-  PGASEMB_CHECK(serving.timeline_window >= 1,
-                "serving timeline window must be >= 1");
   PGASEMB_CHECK(serving.admit_queue >= 0,
                 "admit-queue must be >= 0 (0 = unbounded)");
   PGASEMB_CHECK(serving.query_deadline_ms >= 0.0,

@@ -73,8 +73,6 @@ struct ServingConfig {
   double slo_ms = 0.0;
   /// Seed of the arrival/size stream (independent of batch_seed).
   std::uint64_t seed = 0x5e12;
-  /// Queries per non-overlapping window of the p95-over-time timeline.
-  int timeline_window = 100;
   /// Bounded admission queue (pending queries); 0 = unbounded, exactly
   /// the pre-admission behavior. When the backlog hits the bound,
   /// `shed_policy` decides which query pays.
@@ -168,7 +166,7 @@ struct ExperimentConfig {
   /// fault-free build.
   fault::FaultPlan faults;
   /// SLO degradation policy: when enabled, the closed-loop path swaps
-  /// the active retriever for `fallback.fallback_to` after `patience`
+  /// the active retriever for nccl_collective after `patience`
   /// consecutive over-SLO batches; the serving path fires on the
   /// sliding-window per-query p95 instead.
   core::FallbackPolicy fallback;
@@ -229,8 +227,8 @@ struct ServingResult {
   /// Queries whose end-to-end latency exceeded ServingConfig::slo_ms.
   std::int64_t slo_violations = 0;
 
-  /// p95 (ms) per non-overlapping window of `timeline_window` queries,
-  /// in completion order — brownout recovery is visible here.
+  /// p95 (ms) per non-overlapping window of 100 queries, in completion
+  /// order — brownout recovery is visible here.
   std::vector<double> window_p95_ms;
 
   /// Overload-resilience accounting (ServingConfig admission knobs);

@@ -12,6 +12,11 @@
 
 namespace pgasemb::engine {
 
+namespace {
+/// Queries per non-overlapping window of the p95-over-time timeline.
+constexpr std::size_t kTimelineWindow = 100;
+}  // namespace
+
 ServingRunner::ServingRunner(const ExperimentConfig& config)
     : builder_(config) {}
 
@@ -56,7 +61,7 @@ ExperimentResult ServingRunner::run(const std::string& retriever_name) {
   std::int64_t good_queries = 0;  ///< served within the SLO (all, if none)
   double queue_depth_sum = 0.0;
   std::vector<SimTime> window;
-  window.reserve(static_cast<std::size_t>(config.serving.timeline_window));
+  window.reserve(kTimelineWindow);
 
   while (auto formed = batcher.nextBatch(system.hostNow())) {
     // The host sits idle until the batch closes (arrival-bound gaps).
@@ -91,7 +96,7 @@ ExperimentResult ServingRunner::run(const std::string& retriever_name) {
       if (admission) admission->onCompletion(total);
       exec.recordQueryLatency(total);
       window.push_back(total);
-      if (static_cast<int>(window.size()) >= config.serving.timeline_window) {
+      if (window.size() >= kTimelineWindow) {
         sv.window_p95_ms.push_back(core::windowP95(window).toMs());
         window.clear();
       }

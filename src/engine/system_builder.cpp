@@ -76,8 +76,7 @@ void SystemBuilder::build() {
     topo = std::make_unique<fabric::NvlinkAllToAllTopology>(config_.num_gpus,
                                                             config_.link);
   }
-  fabric_ = std::make_unique<fabric::Fabric>(system_->simulator(),
-                                             std::move(topo));
+  fabric_ = std::make_unique<fabric::Fabric>(std::move(topo));
 
   layer_ = std::make_unique<emb::ShardedEmbeddingLayer>(
       *system_, config_.layer, config_.sharding);
@@ -138,7 +137,8 @@ void SystemBuilder::build() {
                                    config_.hierarchical_a2a);
   comm_ = std::make_unique<collective::Communicator>(*system_, transport,
                                                      std::move(staging));
-  runtime_ = std::make_unique<pgas::PgasRuntime>(*system_, transport);
+  runtime_ = std::make_unique<pgas::PgasRuntime>(*system_, transport,
+                                                 config_.aggregator);
   runtime_->setCoalescingEnabled(config_.coalesce_flows);
   if (sanitizer_ != nullptr) {
     // Table shards and other assembly-lifetime allocations are not leaks.
@@ -225,7 +225,6 @@ collective::HierarchicalParams SystemBuilder::buildHierStaging(
 core::SystemContext SystemBuilder::context() {
   core::SystemContext ctx{*system_, *fabric_, *comm_, *runtime_, *layer_};
   ctx.pgas_slices = config_.pgas_slices;
-  ctx.aggregator = config_.aggregator ? &*config_.aggregator : nullptr;
   ctx.pipeline_depth = config_.pipeline_depth;
   ctx.cache = cache_.get();
   return ctx;

@@ -44,11 +44,9 @@ namespace pgasemb::engine {
 
 class SystemBuilder {
  public:
-  /// Copies `config`; the stored copy backs the aggregator pointer in
-  /// context(), so it must not be mutated between reset() and the last
-  /// use of a retriever built from that context. Throws
-  /// InvalidArgumentError, before allocating anything, when
-  /// ExperimentConfig::validate() rejects the config (as does reset()).
+  /// Copies `config`. Throws InvalidArgumentError, before allocating
+  /// anything, when ExperimentConfig::validate() rejects the config (as
+  /// does reset()).
   explicit SystemBuilder(const ExperimentConfig& config);
   ~SystemBuilder();
 

@@ -17,6 +17,7 @@
 // path, bit-identical to a fault-free build.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -83,10 +84,17 @@ class FaultInjector {
   }
 
   /// Counts one per-node-pair flat fallback whose direct traffic spanned
-  /// [at, until] of simulated time.
+  /// [at, until] of simulated time; degraded_time grows by the part of
+  /// the span no earlier fallback covered. Calls arrive in non-decreasing
+  /// `at` (each is made when a rank's collective op starts, in simulated
+  /// time order), so the furthest end seen so far is the whole union.
   void recordHierFallback(SimTime at, SimTime until) {
     ++stats_.hier_fallbacks;
-    if (until > at) stats_.degraded_time += until - at;
+    const SimTime from = std::max(at, degraded_until_);
+    if (until > from) {
+      stats_.degraded_time += until - from;
+      degraded_until_ = until;
+    }
   }
 
   /// Counts one standby staging rebuild.
@@ -107,6 +115,8 @@ class FaultInjector {
   fabric::Fabric* fabric_ = nullptr;
   std::vector<FaultSpec> materialized_;
   ResilienceStats stats_;
+  /// End of the latest recorded fallback span (degraded_time's union).
+  SimTime degraded_until_ = SimTime::zero();
 
   struct LaunchFaultState {
     double probability = 0.0;

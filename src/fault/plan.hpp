@@ -2,8 +2,7 @@
 //
 // A FaultPlan is a list of fault specs — link degradation windows, link
 // flaps that drop in-flight flows, straggler GPUs, transient kernel
-// launch failures — plus the retry policy the resilience machinery uses
-// to recover.  Specs may carry explicit time windows; specs without one
+// launch failures.  Specs may carry explicit time windows; specs without one
 // get a window drawn deterministically from the plan seed when the
 // injector arms, so `--faults ... --fault-seed N` reproduces the exact
 // same perturbed run every time, and a different seed yields a different
@@ -55,27 +54,11 @@ struct FaultSpec {
   std::string describe() const;
 };
 
-/// Retransmission policy for one-sided puts and collective chunks whose
-/// flows a link flap dropped.  The sender notices the missing delivery
-/// acknowledgement after `put_timeout` and re-injects; consecutive
-/// losses back off exponentially (capped), so a flow caught in a flap
-/// window re-enters the fabric shortly after the window closes.
-struct RetryPolicy {
-  SimTime put_timeout = SimTime::us(50.0);
-  double backoff_multiplier = 2.0;
-  SimTime max_backoff = SimTime::ms(1.0);
-  /// Safety bound: a put that is still undeliverable after this many
-  /// attempts throws (a flap wider than the whole retry budget is a
-  /// plan bug, not a recoverable fault).
-  int max_attempts = 32;
-};
-
 struct FaultPlan {
   std::vector<FaultSpec> specs;
   std::uint64_t seed = 0;
   /// Horizon the seeded window draw spreads unwindowed specs over.
   SimTime horizon = SimTime::ms(10.0);
-  RetryPolicy retry;
 
   bool empty() const { return specs.empty(); }
 
@@ -122,8 +105,9 @@ struct ResilienceStats {
   std::int64_t fallback_switches = 0;
   std::string fallback_retriever;
   /// Collective degraded mode: per-node-pair flat-a2a fallback events
-  /// (one per rank's traffic to one degraded node pair) and the summed
-  /// simulated time spent driving that traffic flat.
+  /// (one per rank's traffic to one degraded node pair) and the
+  /// simulated time during which any of that traffic was being driven
+  /// flat (the union of the fallback spans, so it never exceeds the run).
   std::int64_t hier_fallbacks = 0;
   SimTime degraded_time = SimTime::zero();
   /// Leader failovers (one per node per fail window, counted when the

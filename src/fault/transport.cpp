@@ -28,8 +28,8 @@ FaultInjector::PutResult Transport::send(
     Traffic traffic, int src, int dst, std::int64_t bytes,
     std::int64_t n_messages, SimTime at, double bandwidth_fraction) const {
   if (injector_ == nullptr) {
-    const auto d = fabric_->transfer(src, dst, bytes, n_messages, at, nullptr,
-                                     bandwidth_fraction);
+    const auto d =
+        fabric_->transfer(src, dst, bytes, n_messages, at, bandwidth_fraction);
     return {d.delivered, d.delivered, 1};
   }
   if (traffic == Traffic::kCollective) {

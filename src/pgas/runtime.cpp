@@ -9,9 +9,11 @@
 namespace pgasemb::pgas {
 
 PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system,
-                         fault::Transport transport)
+                         fault::Transport transport,
+                         std::optional<AggregatorParams> aggregator)
     : system_(system),
       transport_(transport),
+      aggregator_(aggregator),
       heap_(system),
       barrier_events_(static_cast<std::size_t>(system.numGpus())) {
   PGASEMB_CHECK(transport.fabric().numGpus() >= system.numGpus(),
@@ -20,12 +22,9 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system,
 
 void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
                                     MessagePlan plan,
-                                    const AggregatorParams* aggregator,
                                     std::vector<simsan::MemEffect> remote_writes) {
   PGASEMB_CHECK(src >= 0 && src < system_.numGpus(), "bad source PE ", src);
-  if (aggregator != nullptr) {
-    plan = aggregatePlan(plan, desc.duration, *aggregator);
-  }
+  if (aggregator_) plan = aggregatePlan(plan, desc.duration, *aggregator_);
   PGASEMB_CHECK(plan.slices >= 1 &&
                     plan.flows.size() ==
                         static_cast<std::size_t>(plan.slices),

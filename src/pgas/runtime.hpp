@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -38,7 +39,12 @@ class PgasRuntime {
   /// windows keep the aggregation: they slow or drop the bulk hop.
   /// Strict effects account the original payload.
   /// A bare fabric gives the plain, fault-free, flat path.
-  PgasRuntime(gpu::MultiGpuSystem& system, fault::Transport transport);
+  ///
+  /// `aggregator`, when set, arms the async aggregator model (paper §V)
+  /// for every kernel this runtime wires: each attached plan is first
+  /// rewritten through aggregatePlan().
+  PgasRuntime(gpu::MultiGpuSystem& system, fault::Transport transport,
+              std::optional<AggregatorParams> aggregator = std::nullopt);
 
   SymmetricHeap& heap() { return heap_; }
   const fault::Transport& transport() const { return transport_; }
@@ -51,9 +57,8 @@ class PgasRuntime {
   void setCoalescingEnabled(bool enabled) { coalesce_enabled_ = enabled; }
 
   /// Wire `desc` so its slices emit `plan`'s flows from GPU `src` and its
-  /// completion implements quiet (waits for the last delivery).  If
-  /// `aggregator` is non-null the plan is first rewritten through the
-  /// async aggregator model.
+  /// completion implements quiet (waits for the last delivery).  With an
+  /// aggregator armed the plan is first rewritten through it.
   ///
   /// `remote_writes` declares the destination-memory footprint of the
   /// kernel's one-sided puts for simsan (one effect per destination GPU;
@@ -64,7 +69,6 @@ class PgasRuntime {
   /// wait AND the happens-before edge, exactly like skipping
   /// nvshmem_quiet on real hardware.
   void attachMessagePlan(gpu::KernelDesc& desc, int src, MessagePlan plan,
-                         const AggregatorParams* aggregator = nullptr,
                          std::vector<simsan::MemEffect> remote_writes = {});
 
   /// Stream-ordered all-PE barrier (nvshmemx_barrier_all_on_stream).
@@ -87,6 +91,7 @@ class PgasRuntime {
 
   gpu::MultiGpuSystem& system_;
   fault::Transport transport_;
+  std::optional<AggregatorParams> aggregator_;
   SymmetricHeap heap_;
   /// One event per PE, reused by every barrierAllOnStream() call (the
   /// streams hold references, so the vector is never resized).

@@ -20,8 +20,7 @@ struct Rig {
 
   explicit Rig(int gpus, fabric::LinkParams link = {})
       : system(makeConfig(gpus)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
         comm(system, fabric) {}
 
   static gpu::SystemConfig makeConfig(int gpus) {
@@ -144,7 +143,7 @@ TEST(CollectiveTest, AllReduceTwiceReduceScatter) {
   SimTime reduce_scatter = SimTime::zero();
   for (int step = 0; step < 3; ++step) {
     reduce_scatter =
-        a.fabric.transfer(0, 1, total / 4, 1, reduce_scatter, nullptr, eff)
+        a.fabric.transfer(0, 1, total / 4, 1, reduce_scatter, eff)
             .delivered;
   }
   auto ar = b.comm.allReduce(total);

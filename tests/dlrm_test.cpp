@@ -31,9 +31,8 @@ struct Rig {
 
   Rig(int gpus, gpu::ExecutionMode mode)
       : system(makeConfig(gpus, mode)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(
-                   gpus, fabric::LinkParams{})),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+            gpus, fabric::LinkParams{})),
         comm(system, fabric),
         runtime(system, fabric) {}
 
@@ -229,10 +228,8 @@ TEST(PipelineTest, MlpOverlapsWithEmb) {
   gpu::SystemConfig big = Rig::makeConfig(2, gpu::ExecutionMode::kTimingOnly);
   big.memory_capacity_bytes = 32LL << 30;
   gpu::MultiGpuSystem system(big);
-  fabric::Fabric fabric(
-      system.simulator(),
-      std::make_unique<fabric::NvlinkAllToAllTopology>(
-          2, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      2, fabric::LinkParams{}));
   pgas::PgasRuntime runtime(system, fabric);
   emb::ShardedEmbeddingLayer layer(system, spec);
   core::PgasFusedRetriever retriever(layer, runtime, {});

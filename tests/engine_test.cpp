@@ -32,17 +32,13 @@ TEST(RegistryTest, BuiltinsAreRegistered) {
   EXPECT_TRUE(reg.contains("nccl_collective"));
   EXPECT_TRUE(reg.contains("pgas_fused"));
   EXPECT_TRUE(reg.contains("nccl_pipelined"));
-  // Historical alias for the collective baseline.
-  EXPECT_TRUE(reg.contains("nccl_baseline"));
   const auto names = reg.names();
-  // names() lists canonical names only, sorted.
+  // names() lists every registered name, sorted.
   EXPECT_NE(std::find(names.begin(), names.end(), "nccl_collective"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "pgas_fused"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "nccl_pipelined"),
-            names.end());
-  EXPECT_EQ(std::find(names.begin(), names.end(), "nccl_baseline"),
             names.end());
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
@@ -146,9 +142,8 @@ core::RetrieverStats legacyRun(const engine::ExperimentConfig& config,
   sys_cfg.mode = config.mode;
   sys_cfg.cost_model = config.cost_model;
   gpu::MultiGpuSystem system(sys_cfg);
-  fabric::Fabric fabric(system.simulator(),
-                        std::make_unique<fabric::NvlinkAllToAllTopology>(
-                            config.num_gpus, config.link));
+  fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      config.num_gpus, config.link));
   collective::Communicator comm(system, fabric);
   pgas::PgasRuntime runtime(system, fabric);
   emb::ShardedEmbeddingLayer layer(system, config.layer, config.sharding);

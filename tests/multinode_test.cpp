@@ -205,7 +205,9 @@ TEST(MultiNodeGoldenTest, HierarchyCodecAndNodeFaultsMatchPinnedTotals) {
   // is explicit). Exact values (times in ps): any drift means the
   // inter-node path changed behavior. The pgas_fused row was re-pinned
   // when PGAS puts kept the leader aggregation under NIC faults (no
-  // per-pair flat fallback) and direct puts always run the codec.
+  // per-pair flat fallback) and direct puts always run the codec; the
+  // nccl_collective degraded time when it became the union of the
+  // fallback spans instead of their per-rank sum.
   struct Golden {
     const char* retriever;
     std::int64_t total_ps;
@@ -247,7 +249,7 @@ TEST(MultiNodeGoldenTest, HierarchyCodecAndNodeFaultsMatchPinnedTotals) {
        {52166880, 36, 139938738.10000002, 58720256, 20,
         335547976.51199996},
        50331648, 23986272,
-       resilience(6, 3, 3145752, 0, 3145752, 3, 1218454855, 4, 5482949476,
+       resilience(6, 3, 3145752, 0, 3145752, 3, 1218454855, 4, 1694336797,
                   1, 1)},
   };
   ExperimentConfig cfg = sweepConfig(2, 2);
@@ -639,6 +641,37 @@ TEST(NodeFaultDomainTest, NicFlapDropsRecoverWithConservedCounters) {
     EXPECT_GT(rs.recovery_latency, SimTime::zero()) << name;
     // Faults cost time, never correctness: the run is slower, not wrong.
     EXPECT_GE(r.stats.total, clean.stats.total) << name;
+  }
+}
+
+TEST(NodeFaultDomainTest, DegradedTimeNeverExceedsTheRun) {
+  // The node fault plan of the multinode benchmark (a NIC flap, a leader
+  // failure and a half-speed NIC on three different nodes of 4 x 4 GPUs,
+  // at fixed fractions of the fault-free run). Every rank's traffic to a
+  // degraded node pair falls back flat at once; degraded_time is the
+  // simulated time spent in that mode, not a per-rank sum, so it cannot
+  // exceed the run.
+  ExperimentConfig clean_cfg = sweepConfig(4, 4);
+  clean_cfg.hierarchical_a2a = true;
+  clean_cfg.num_batches = 10;
+  const double span_ms =
+      ScenarioRunner(clean_cfg).run("pgas_fused").stats.total.toMs();
+  char spec[256];
+  snprintf(spec, sizeof(spec),
+           "nic-flap:1:%.6f-%.6f,leader-fail:2:%.6f-%.6f,"
+           "nic-degrade:3:0.5:%.6f-%.6f",
+           0.30 * span_ms, 0.33 * span_ms, 0.40 * span_ms, 0.60 * span_ms,
+           0.50 * span_ms, 0.80 * span_ms);
+  ExperimentConfig cfg = faultedConfig(4, 4, spec);
+  cfg.num_batches = clean_cfg.num_batches;
+  for (const auto& name : kRetrievers) {
+    const ExperimentResult r = ScenarioRunner(cfg).run(name);
+    ASSERT_TRUE(r.resilience.has_value()) << name;
+    const auto& rs = *r.resilience;
+    if (name != "pgas_fused") {
+      EXPECT_GT(rs.hier_fallbacks, 0) << name;
+    }
+    EXPECT_LE(rs.degraded_time.count(), r.stats.total.count()) << name;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,11 +25,11 @@ struct Rig {
 
   explicit Rig(int gpus,
                gpu::ExecutionMode mode = gpu::ExecutionMode::kTimingOnly,
-               fabric::LinkParams link = {})
+               fabric::LinkParams link = {},
+               std::optional<AggregatorParams> aggregator = std::nullopt)
       : system(makeConfig(gpus, mode)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
-        runtime(system, fabric) {}
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
+        runtime(system, fabric, aggregator) {}
 
   static gpu::SystemConfig makeConfig(int gpus, gpu::ExecutionMode mode) {
     gpu::SystemConfig cfg;
@@ -293,25 +294,31 @@ TEST(AggregatorTest, AggregatedKernelFasterOnMessageRateLimitedLink) {
   nic.header_bytes = 64;
   nic.max_messages_per_sec = 10e6;  // IB-like message-rate ceiling
 
-  auto run = [&](const AggregatorParams* agg) {
-    Rig rig(2, gpu::ExecutionMode::kTimingOnly, nic);
+  struct Run {
+    SimTime done;
+    std::int64_t messages;
+  };
+  auto run = [&](std::optional<AggregatorParams> agg) {
+    Rig rig(2, gpu::ExecutionMode::kTimingOnly, nic, agg);
     gpu::KernelDesc desc;
     desc.name = "k";
     desc.duration = SimTime::ms(1);
     auto plan = makeUniformPlan({0, 64 << 20}, 0, 64, 256);
-    rig.runtime.attachMessagePlan(desc, 0, std::move(plan), agg);
+    rig.runtime.attachMessagePlan(desc, 0, std::move(plan));
     rig.system.launchKernel(0, desc);
     rig.system.syncAll();
-    return rig.system.stream(0).lastCompletion();
+    return Run{rig.system.stream(0).lastCompletion(),
+               rig.fabric.totalMessages()};
   };
 
   AggregatorParams params;
   params.aggregation_bytes = 128 * 1024;
-  const SimTime raw = run(nullptr);
-  const SimTime aggregated = run(&params);
+  const Run raw = run(std::nullopt);
+  const Run aggregated = run(params);
   // 256 K messages at 10 M msg/s = 26 ms un-aggregated; aggregation
   // collapses that to ~bandwidth time.
-  EXPECT_LT(aggregated, raw / 4);
+  EXPECT_LT(aggregated.messages, raw.messages);
+  EXPECT_LT(aggregated.done, raw.done / 4);
 }
 
 TEST(AggregatorTest, InvalidParamsThrow) {

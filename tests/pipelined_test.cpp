@@ -30,8 +30,7 @@ struct Rig {
                const emb::EmbLayerSpec& layer_spec = spec(),
                const fabric::LinkParams& link = {})
       : system(config(gpus, mode)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
         comm(system, fabric),
         runtime(system, fabric),
         layer(system, layer_spec) {}

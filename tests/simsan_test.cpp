@@ -589,7 +589,7 @@ class BrokenNoQuiet final : public core::EmbeddingRetriever {
         }
       }
       runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                                 nullptr, std::move(remote_writes));
+                                 std::move(remote_writes));
       // BUG: strip the quiet — the kernel "completes" without waiting
       // for (or ordering against) its in-flight one-sided writes.
       fused.desc.finalize = nullptr;
@@ -706,7 +706,7 @@ class BrokenCachedBarrier final : public core::EmbeddingRetriever {
         }
       }
       runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                                 nullptr, std::move(remote_writes));
+                                 std::move(remote_writes));
       system.launchKernel(g, std::move(fused.desc));
     }
     if (skip_peer_ >= 0) {
